@@ -68,6 +68,7 @@ from .spectrum import (
     eigensum_head,
     eigensum_tail,
     transition_width,
+    transition_widths,
     tridiagonal_spectrum,
 )
 

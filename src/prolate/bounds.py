@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import spectrum as spec
 from .errors import DomainError, ParameterError
 from .kernel import ProlateParams, sin_cos_2pi_product, snap_to_integer
 
@@ -336,8 +337,8 @@ def pswf_sum_bounds(c: float, K: int, side: str) -> float:
     raise ParameterError(f"side must be 'head' or 'tail', got {side!r}")
 
 
-@dataclass(frozen=True)
-class PSWFProxy:
+@dataclass(kw_only=True)
+class PSWFProxy(spec.SpectrumSlice):
     """Discrete proxy for continuous-case eigenvalues at matched 2c/pi.
 
     The entries are lambda_k(N, c/(pi N)); each lies within ``delta`` of the
@@ -347,16 +348,7 @@ class PSWFProxy:
     """
 
     c: float
-    n: int
-    kmin: int
-    kmax: int
-    lam: np.ndarray
-    comp: np.ndarray
     delta: float
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        return [(self.kmin + i, float(v)) for i, v in enumerate(self.lam)]
 
 
 def proxy_delta(c: float, n: int) -> float:
@@ -380,13 +372,8 @@ def pswf_proxy(c: float, kmin: int, kmax: int, n: int) -> PSWFProxy:
         Proxy dimension; must exceed 2c/pi (this also puts c/(pi N) < 1/2).
     """
     delta = proxy_delta(c, n)
-    from .spectrum import tridiagonal_spectrum
-
-    params = ProlateParams(n, c / (math.pi * n))
-    slc = tridiagonal_spectrum(params, kmin, kmax)
-    return PSWFProxy(
-        c=float(c), n=int(n), kmin=kmin, kmax=kmax, lam=slc.lam, comp=slc.comp, delta=delta
-    )
+    slc = spec.tridiagonal_spectrum(ProlateParams(n, c / (math.pi * n)), kmin, kmax)
+    return PSWFProxy(**vars(slc), c=float(c), delta=delta)
 
 
 def proxy_width_interval(
@@ -403,34 +390,14 @@ def proxy_width_interval(
     """
     eps = _check_eps(eps)
     delta = proxy_delta(c, n)
-    tbp = _pswf_tbp(c)
-    center_lo = max(int(math.floor(tbp)) - 1, 0)
-    center_hi = int(math.ceil(tbp))
-    margin = pswf_width_bound(c, eps).integer + 8
-    for _ in range(32):
-        kmin = max(0, center_lo - margin)
-        kmax = min(n - 1, center_hi + margin)
-        proxy = pswf_proxy(c, kmin, kmax, n)
-        eps_lo = eps + delta
-        eps_hi = eps - delta
-        # endpoints must exit the widest region we count
-        exit_eps = eps_hi if eps_hi > 0.0 else eps_lo
-        left_done = kmin == 0 or proxy.comp[0] <= exit_eps
-        right_done = kmax == n - 1 or proxy.lam[-1] <= exit_eps
-        if left_done and right_done:
-            break
-        margin *= 2
-    else:
-        raise DomainError("proxy window failed to close; increase n or eps")
-
-    def _count(thr: float) -> int:
-        mask = (proxy.lam > thr) & (proxy.comp > thr)
-        idx = np.flatnonzero(mask)
-        return 0 if idx.size == 0 else int(idx[-1] - idx[0] + 1)
-
-    lo = _count(eps_lo) if eps_lo < 0.5 else None
-    hi = _count(eps_hi) if eps_hi > 0.0 else None
-    return lo, hi, proxy
+    eps_lo, eps_hi = eps + delta, eps - delta
+    # the window must close at the smallest threshold that is counted
+    counted = [thr for thr in (eps_lo, eps_hi) if 0.0 < thr < 0.5]
+    params = ProlateParams(n, c / (math.pi * n))
+    slc = spec._transition_window(params, min(counted, default=eps))
+    lo = spec._count_run(slc, eps_lo)[0] if eps_lo < 0.5 else None
+    hi = spec._count_run(slc, eps_hi)[0] if eps_hi > 0.0 else None
+    return lo, hi, PSWFProxy(**vars(slc), c=float(c), delta=delta)
 
 
 def evaluate_bound_set(

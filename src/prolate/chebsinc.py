@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .displacement import partition_block_bound
 from .errors import ParameterError
-from .kernel import ProlateParams, sinc_kernel
+from .kernel import ProlateParams, near_block_rows, sinc_kernel
 
 __all__ = [
     "sinc_derivative_bound",
@@ -71,6 +72,22 @@ def _bary_weights(k: int) -> np.ndarray:
     return (-1.0) ** (m - 1) * np.sin((2.0 * m - 1.0) * math.pi / (2.0 * k))
 
 
+def _bary_matrix(nodes: np.ndarray, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows mapping node values to the barycentric interpolant at each point of ``t``.
+
+    A point that coincides with a node gets that node's unit row, so the
+    interpolant reproduces node values exactly.
+    """
+    diff = t[:, None] - nodes[None, :]
+    hit = diff == 0.0
+    exact = hit.any(axis=1)
+    rows = np.empty(diff.shape)
+    rows[exact] = hit[exact]
+    q = weights[None, :] / diff[~exact]
+    rows[~exact] = q / q.sum(axis=1, keepdims=True)
+    return rows
+
+
 @dataclass(frozen=True)
 class ChebInterpolant:
     """Chebyshev interpolant of a shifted sinc kernel on [a, b].
@@ -87,29 +104,11 @@ class ChebInterpolant:
     values: np.ndarray
     weights: np.ndarray
 
-    @property
-    def degree(self) -> int:
-        return self.nodes.size - 1
-
     def __call__(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=np.float64)
         scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        diff = t[:, None] - self.nodes[None, :]
-        out = np.empty(t.shape)
-        hit = np.abs(diff) <= 0.0
-        exact = hit.any(axis=1)
-        if exact.any():
-            out[exact] = self.values[np.argmax(hit[exact], axis=1)]
-        rest = ~exact
-        if rest.any():
-            q = self.weights[None, :] / diff[rest]
-            out[rest] = (q @ self.values) / q.sum(axis=1)
+        out = _bary_matrix(self.nodes, self.weights, np.atleast_1d(t)) @ self.values
         return float(out[0]) if scalar else out
-
-    def coefficients(self) -> np.ndarray:
-        """Monomial coefficients p_0..p_{k-1} (ill-conditioned for large k)."""
-        return np.polynomial.polynomial.polyfit(self.nodes, self.values, self.degree)
 
 
 def cheb_interpolate(w: float, n: int, a: float, b: float, k: int) -> ChebInterpolant:
@@ -161,47 +160,45 @@ class LowRankBlockApprox:
 def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
     """Approximate the near block X[l, n] = g(l - n), l = -L1..-1, by rank k.
 
-    Column n carries the interpolant of g_n on [-L1, -1]. The product of the
-    monomial factor (powers of l) with the coefficient factor exhibits rank
-    <= k; the Frobenius error is measured against the barycentric evaluation
-    and compared with sqrt(5600/pi) * (pi/48)^k.
+    Column n carries the interpolant of g_n on [-L1, -1]. All columns share
+    the Chebyshev nodes, so one barycentric matrix and one least-squares fit
+    serve every column. The product of the monomial factor (powers of l)
+    with the coefficient factor exhibits rank <= k; the Frobenius error is
+    measured against the barycentric evaluation and compared with
+    sqrt(5600/pi) * (pi/48)^k.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if params.w >= 0.25:
         return LowRankBlockApprox(False, "not applicable: W >= 1/4")
-    l1 = int(math.floor(1.0 / (4.0 * params.w)))
-    a, b = -float(l1), -1.0
+    l1 = near_block_rows(params.w)
     ells = np.arange(-l1, 0, dtype=np.float64)
-    n_cols = params.n
-    block = np.empty((l1, n_cols))
-    approx = np.empty((l1, n_cols))
-    coefs = np.empty((k, n_cols)) if k <= MONOMIAL_RANK_CAP else None
-    for n in range(n_cols):
-        block[:, n] = sinc_kernel(params.w, ells - n)
-        if l1 == 1:
-            # degenerate interval [-1, -1]: interpolation at the point is exact
-            approx[:, n] = block[:, n]
-            if coefs is not None:
-                coefs[0, n] = block[0, n]
-                coefs[1:, n] = 0.0
-            continue
-        interp = cheb_interpolate(params.w, n, a, b, k)
-        approx[:, n] = interp(ells)
-        if coefs is not None:
-            c = interp.coefficients()
-            coefs[: c.size, n] = c
-            coefs[c.size :, n] = 0.0
+    cols = np.arange(params.n, dtype=np.float64)
+    block = sinc_kernel(params.w, ells[:, None] - cols[None, :])
+    monomial = k <= MONOMIAL_RANK_CAP
+    coefs = None
+    if l1 == 1:
+        # degenerate interval [-1, -1]: interpolation at the point is exact
+        approx = block
+        if monomial:
+            coefs = np.zeros((k, params.n))
+            coefs[0] = block[0]
+    else:
+        nodes = _cheb_nodes(-float(l1), -1.0, k)
+        values = sinc_kernel(params.w, nodes[:, None] - cols[None, :])
+        approx = _bary_matrix(nodes, _bary_weights(k), ells) @ values
+        if monomial:
+            coefs = np.polynomial.polynomial.polyfit(nodes, values, k - 1)
     err = float(np.linalg.norm(block - approx, "fro"))
-    bound = math.sqrt(5600.0 / math.pi) * (math.pi / 48.0) ** k
-    left = np.vander(ells, k, increasing=True) if coefs is not None else None
+    bound = partition_block_bound(k)
+    left = np.vander(ells, k, increasing=True) if monomial else None
     return LowRankBlockApprox(
         applicable=True,
         reason="",
         params=params,
         rank=k,
         l1=l1,
-        matrix=left @ coefs if coefs is not None else approx,
+        matrix=left @ coefs if monomial else approx,
         left_factor=left,
         right_factor=coefs,
         frobenius_error=err,

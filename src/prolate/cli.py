@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,6 +28,15 @@ EXIT_IO = 3
 EIGS_HEADER = "k,lambda,lower,upper,in_envelope"
 WIDTH_HEADER = "N,W,eps,width,thm1,thm2,eq2,eq3,eq6"
 SWEEP_HEADER = "N,W,eps,width,bound_thm1,bound_thm2,gap,advisory"
+
+
+def _number(kind, name: str, text) -> int | float:
+    """``kind(text)`` for an int or float option or config value; ParameterError if malformed."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{name} must be {noun}, got {text!r}") from None
 
 
 def _fmt(x) -> str:
@@ -99,7 +107,7 @@ def cmd_eigs(args) -> int:
     krange = None
     if args.krange:
         lo, _, hi = args.krange.partition(":")
-        krange = (int(lo), int(hi))
+        krange = (_number(int, "--krange start", lo), _number(int, "--krange end", hi))
     rows = eigs_rows(args.n, args.w, krange, args.method)
     _emit(rows, EIGS_HEADER, args.format, args.out)
     return EXIT_OK
@@ -153,43 +161,28 @@ def cmd_bounds(args) -> int:
 
 def _sweep_instance(n: int, w: float, eps_list: list[float]) -> list[dict]:
     """Width rows for one (N, W) at several eps, from a single shared window."""
-    params = ProlateParams(n, w)
-    slc = spec._transition_window(params, min(eps_list))
-    b1 = {eps: bnd.width_bound_thm1(n, eps).integer for eps in eps_list}
-    b2 = {eps: bnd.width_bound_thm2(n, w, eps).integer for eps in eps_list}
     rows = []
-    for eps in eps_list:
-        width, k_first, k_last = spec._count_run(slc, eps)
-        advisory = eps <= spec.ADVISORY_EPS
-        if k_first is not None:
-            sel = slice(slc.index_of(k_first), slc.index_of(k_last) + 1)
-            advisory = advisory or bool(slc.saturated[sel].any())
+    for report in spec.transition_widths(ProlateParams(n, w), eps_list):
+        eps = report.eps
+        b1 = bnd.width_bound_thm1(n, eps).integer
         rows.append(
             {
                 "N": n,
                 "W": w,
                 "eps": eps,
-                "width": width,
-                "bound_thm1": b1[eps],
-                "bound_thm2": b2[eps],
-                "gap": b1[eps] - width,
-                "advisory": advisory,
+                "width": report.width,
+                "bound_thm1": b1,
+                "bound_thm2": bnd.width_bound_thm2(n, w, eps).integer,
+                "gap": b1 - report.width,
+                "advisory": report.advisory,
             }
         )
     return rows
 
 
-def sweep_rows(
-    instances: list[tuple[int, float]], eps_list: list[float], jobs: int = 1
-) -> list[dict]:
+def sweep_rows(instances: list[tuple[int, float]], eps_list: list[float]) -> list[dict]:
     """Width sweep over (N, W) instances; rows in deterministic input order."""
-    if jobs <= 1:
-        batches = [_sweep_instance(n, w, eps_list) for n, w in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_instance, n, w, eps_list) for n, w in instances]
-            batches = [f.result() for f in futures]
-    return [row for batch in batches for row in batch]
+    return [row for n, w in instances for row in _sweep_instance(n, w, eps_list)]
 
 
 DEFAULT_EPS_LIST = [1e-3, 1e-8, 1e-13]
@@ -216,7 +209,13 @@ def figure3_instances(
 def _parse_eps_list(text: str | None) -> list[float]:
     if not text:
         return list(DEFAULT_EPS_LIST)
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [_number(float, "eps", tok) for tok in text.split(",") if tok.strip()]
+
+
+#: keys a sweep config may set; ``w`` is the figure1 bandwidth
+CONFIG_KEYS = frozenset(
+    ("mode", "n_min", "n_max", "n", "w", "w_min", "w_max", "w_points", "eps", "n_list", "w_list")
+)
 
 
 def _read_config(path: str) -> dict:
@@ -230,7 +229,10 @@ def _read_config(path: str) -> dict:
             if "=" not in line:
                 raise ParameterError(f"bad config line: {raw.rstrip()}")
             key, _, val = line.partition("=")
-            out[key.strip()] = val.strip().strip('"')
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ParameterError(f"unknown config key {key!r} in {path}")
+            out[key] = val.strip().strip('"')
     return out
 
 
@@ -238,30 +240,33 @@ def cmd_sweep(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
     mode = args.mode or cfg.get("mode", "figure2")
     eps_list = _parse_eps_list(args.eps_list or cfg.get("eps"))
-    jobs = args.jobs
 
     if mode == "figure1":
-        rows = eigs_rows(int(cfg.get("n", 1000)), float(cfg.get("w", 0.125)), None, "trid")
+        n = _number(int, "n", cfg.get("n", 1000))
+        w = _number(float, "w", cfg.get("w", 0.125))
+        rows = eigs_rows(n, w, None, "trid")
         _emit(rows, EIGS_HEADER, args.format, args.out)
         return EXIT_OK
     if mode == "figure2":
-        n_min = int(args.n_min or cfg.get("n_min", 2**4))
-        n_max = int(args.n_max or cfg.get("n_max", 2**12))
+        n_min = _number(int, "n_min", args.n_min or cfg.get("n_min", 2**4))
+        n_max = _number(int, "n_max", args.n_max or cfg.get("n_max", 2**12))
         instances = figure2_instances(n_min, n_max)
     elif mode == "figure3":
-        n = int(args.n or cfg.get("n", 2**12))
-        w_lo = float(args.w_min or cfg.get("w_min", 2**-10))
-        w_hi = float(args.w_max or cfg.get("w_max", 2**-2))
-        points = int(args.w_points or cfg.get("w_points", 101))
+        n = _number(int, "n", args.n or cfg.get("n", 2**12))
+        w_lo = _number(float, "w_min", args.w_min or cfg.get("w_min", 2**-10))
+        w_hi = _number(float, "w_max", args.w_max or cfg.get("w_max", 2**-2))
+        points = _number(int, "w_points", args.w_points or cfg.get("w_points", 101))
         instances = figure3_instances(n, w_lo, w_hi, points)
     elif mode == "custom":
-        ns = [int(tok) for tok in str(cfg.get("n_list", args.n or "")).split(",") if tok]
-        ws = [float(tok) for tok in str(cfg.get("w_list", args.w or "")).split(",") if tok]
+        n_text = str(cfg.get("n_list", args.n or ""))
+        w_text = str(cfg.get("w_list", args.w or ""))
+        ns = [_number(int, "n_list", tok) for tok in n_text.split(",") if tok]
+        ws = [_number(float, "w_list", tok) for tok in w_text.split(",") if tok]
         instances = [(n, w) for n in ns for w in ws]
     else:
         raise ParameterError(f"unknown sweep mode {mode!r}")
 
-    rows = sweep_rows(instances, eps_list, jobs=jobs)
+    rows = sweep_rows(instances, eps_list)
     _emit(rows, SWEEP_HEADER, args.format, args.out)
     return EXIT_OK
 
@@ -367,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-max", dest="w_max", default=None)
     p.add_argument("--w-points", dest="w_points", default=None)
     p.add_argument("--eps-list", dest="eps_list", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config", default=None, metavar="PATH")
     p.set_defaults(func=cmd_sweep)
 

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError, ParameterError
-from .kernel import ProlateParams, build_prolate_matrix, sin_cos_2pi_product, sinc_kernel
+from .kernel import (
+    ProlateParams,
+    build_prolate_matrix,
+    near_block_rows,
+    sin_cos_2pi_product,
+    sinc_kernel,
+)
 
 __all__ = [
     "ZolotarevSetPair",
@@ -39,22 +45,17 @@ __all__ = [
     "gram_defect",
     "loewner_min_eig",
     "partition_block_bound",
-    "block_tail_constant",
 ]
 
 #: cap on materialized boundary-matrix entries (2L x N)
 XL_ENTRY_CAP = 1 << 25
-
-#: sqrt(5600/pi): leading constant of the interpolation-block tail bound
-def block_tail_constant() -> float:
-    return math.sqrt(5600.0 / math.pi)
 
 
 def partition_block_bound(k: int) -> float:
     """Tail bound sqrt(5600/pi) * (pi/48)**k on sigma_{k+1} of a boundary block."""
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    return block_tail_constant() * (math.pi / 48.0) ** k
+    return math.sqrt(5600.0 / math.pi) * (math.pi / 48.0) ** k
 
 
 @dataclass(frozen=True)
@@ -388,7 +389,7 @@ def partition_check(params: ProlateParams, L: int, k0_max: int, k_max: int) -> P
     """
     if params.w >= 0.25:
         return PartitionReport(False, "not applicable: W >= 1/4, bandwidth-free path dominates")
-    l1 = int(math.floor(1.0 / (4.0 * params.w)))
+    l1 = near_block_rows(params.w)
     if L < l1 + 1:
         raise ParameterError(f"L must be >= L1 + 1 = {l1 + 1}, got {L}")
     system = build_xl(params, L)

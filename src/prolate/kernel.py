@@ -24,6 +24,7 @@ from .errors import CapacityError, ParameterError
 
 __all__ = [
     "ProlateParams",
+    "near_block_rows",
     "snap_to_integer",
     "sin_cos_2pi_product",
     "sinc_kernel",
@@ -111,6 +112,11 @@ class ProlateParams:
     def complement(self) -> "ProlateParams":
         """Instance with bandwidth 1/2 - w; its spectrum is the reflection 1 - lambda."""
         return ProlateParams(self.n, 0.5 - self.w)
+
+
+def near_block_rows(w: float) -> int:
+    """L1 = floor(1/(4W)): rows in each near boundary block {-L1..-1}, {N..N+L1-1}."""
+    return int(math.floor(1.0 / (4.0 * w)))
 
 
 # Veltkamp splitter for Dekker's exact two-product (no math.fma on 3.10).

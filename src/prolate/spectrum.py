@@ -47,6 +47,7 @@ __all__ = [
     "dense_spectrum",
     "tridiagonal_spectrum",
     "transition_width",
+    "transition_widths",
     "eigensum_head",
     "eigensum_tail",
 ]
@@ -249,15 +250,14 @@ def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | N
 
 def _transition_window(params: ProlateParams, eps: float) -> SpectrumSlice:
     """Slice around 2NW grown until both endpoints leave (eps, 1 - eps)."""
+    from .bounds import width_bound_thm1  # bounds imports this module
+
     n = params.n
     center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
     center_hi = min(max(params.tbp_ceil, 0), n - 1)
-    # guaranteed cover: the run is no wider than the log(4N)*log(4/(eps(1-eps)))
-    # even-integer bound, and it straddles the 1/2-split indices around 2NW
-    guess = 2 * math.ceil(
-        math.log(4.0 * n) * math.log(4.0 / (eps * (1.0 - eps))) / math.pi**2
-    )
-    m = guess + 2
+    # guaranteed cover: the run is no wider than the thm1 width bound, and it
+    # straddles the 1/2-split indices around 2NW
+    m = width_bound_thm1(n, eps).integer + 2
     for _ in range(64):
         a = max(0, center_lo - m)
         b = min(n - 1, center_hi + m)
@@ -270,27 +270,39 @@ def _transition_window(params: ProlateParams, eps: float) -> SpectrumSlice:
     raise NumericalError("transition window failed to close; eps may be degenerate")
 
 
-def transition_width(params: ProlateParams, eps: float) -> TransitionReport:
-    """Count indices with eps < lambda_k < 1 - eps.
+def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]:
+    """Count indices with eps < lambda_k < 1 - eps, for each eps of ``eps_list``.
 
     Exploits monotonicity of lambda_k: only a window centered at 2NW is
-    computed, grown until both endpoints are outside the transition region.
+    computed, grown until both endpoints are outside the transition region
+    of the smallest eps, and every count is taken from that one window.
 
     Parameters
     ----------
     params : ProlateParams
-    eps : float
-        Threshold in (0, 1/2).
+    eps_list : sequence of float
+        Non-empty; each threshold in (0, 1/2). Reports follow its order.
     """
-    if not (0.0 < eps < 0.5):
-        raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    slc = _transition_window(params, eps)
-    width, k_first, k_last = _count_run(slc, eps)
-    advisory = eps <= ADVISORY_EPS
-    if k_first is not None:
-        sel = slice(slc.index_of(k_first), slc.index_of(k_last) + 1)
-        advisory = advisory or bool(slc.saturated[sel].any())
-    return TransitionReport(params, eps, width, k_first, k_last, advisory)
+    if not eps_list:
+        raise ParameterError("need at least one eps")
+    for eps in eps_list:
+        if not (0.0 < eps < 0.5):
+            raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
+    slc = _transition_window(params, min(eps_list))
+    reports = []
+    for eps in eps_list:
+        width, k_first, k_last = _count_run(slc, eps)
+        advisory = eps <= ADVISORY_EPS
+        if k_first is not None:
+            sel = slice(slc.index_of(k_first), slc.index_of(k_last) + 1)
+            advisory = advisory or bool(slc.saturated[sel].any())
+        reports.append(TransitionReport(params, eps, width, k_first, k_last, advisory))
+    return reports
+
+
+def transition_width(params: ProlateParams, eps: float) -> TransitionReport:
+    """Count indices with eps < lambda_k < 1 - eps; see :func:`transition_widths`."""
+    return transition_widths(params, [eps])[0]
 
 
 def _spectrum_for_sum(params: ProlateParams, kmin: int, kmax: int, method: str) -> SpectrumSlice:
@@ -307,12 +319,12 @@ def _spectrum_for_sum(params: ProlateParams, kmin: int, kmax: int, method: str) 
             saturated=full.saturated[sel],
             via_complement=full.via_complement[sel],
         )
-    if method in ("auto", "tridiagonal"):
+    if method == "tridiagonal":
         return tridiagonal_spectrum(params, kmin, kmax)
     raise ParameterError(f"unknown method {method!r}")
 
 
-def eigensum_tail(params: ProlateParams, K: int, method: str = "auto") -> float:
+def eigensum_tail(params: ProlateParams, K: int, method: str = "tridiagonal") -> float:
     """Sum of the trailing eigenvalues ``sum_{k=K..N-1} lambda_k``.
 
     ``K = 0`` sums the whole spectrum (the trace, 2NW); ``K = N`` is 0.
@@ -325,7 +337,7 @@ def eigensum_tail(params: ProlateParams, K: int, method: str = "auto") -> float:
     return _spectrum_for_sum(params, K, n - 1, method).sum_lambdas()
 
 
-def eigensum_head(params: ProlateParams, K: int, method: str = "auto") -> float:
+def eigensum_head(params: ProlateParams, K: int, method: str = "tridiagonal") -> float:
     """Sum of the leading eigenvalue defects ``sum_{k=0..K-1} (1 - lambda_k)``.
 
     Computed as the trailing sum of the complementary-bandwidth instance

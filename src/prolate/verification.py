@@ -20,6 +20,7 @@ from .errors import ParameterError
 from .kernel import (
     ProlateParams,
     build_prolate_matrix,
+    near_block_rows,
     sinc_identity_residual,
     sinc_identity_tail_bound,
     sinc_kernel,
@@ -172,9 +173,8 @@ def _check_width_vs_bounds() -> CheckResult:
     bad = []
     for n in BOUNDS_GRID_N:
         for w in BOUNDS_GRID_W:
-            p = ProlateParams(n, w)
-            for eps in BOUNDS_GRID_EPS:
-                width = spec.transition_width(p, eps).width
+            for report in spec.transition_widths(ProlateParams(n, w), BOUNDS_GRID_EPS):
+                eps, width = report.eps, report.width
                 b1 = bnd.width_bound_thm1(n, eps).integer
                 b2 = bnd.width_bound_thm2(n, w, eps).integer
                 if width > b1 or width > b2:
@@ -374,15 +374,11 @@ def _check_loewner() -> CheckResult:
 
 def _check_partition() -> CheckResult:
     p = ProlateParams(512, 1.0 / 64.0)
-    rep = disp.partition_check(p, rep_l(p) + 64, 10, 8)
+    rep = disp.partition_check(p, near_block_rows(p.w) + 64, 10, 8)
     detail = (
         f"outer={rep.outer_ok} block={rep.block_ok} mirror={rep.mirror_ok} weyl={rep.weyl_ok}"
     )
     return _result("displacement.partition", rep.passed, detail)
-
-
-def rep_l(params: ProlateParams) -> int:
-    return int(math.floor(1.0 / (4.0 * params.w)))
 
 
 def suite_displacement(seed: int = 0) -> list[CheckResult]:
@@ -414,8 +410,7 @@ def _check_nodes() -> CheckResult:
 def _check_interp_chain() -> CheckResult:
     bad = []
     for w in (1.0 / 64.0, 1.0 / 32.0, 1.0 / 16.0):
-        l1 = int(math.floor(1.0 / (4.0 * w)))
-        a, b = -float(l1), -1.0
+        a, b = -float(near_block_rows(w)), -1.0
         grid = np.linspace(a, b, 1000)
         for n in (0, 3, 50):
             for k in range(1, 9):
@@ -442,7 +437,7 @@ def _check_lowrank() -> CheckResult:
 def _check_mono_bary_agreement() -> CheckResult:
     worst = 0.0
     p = ProlateParams(256, 1.0 / 32.0)
-    l1 = rep_l(p)
+    l1 = near_block_rows(p.w)
     ells = np.arange(-l1, 0, dtype=np.float64)
     for k in range(1, 9):
         rep = cs.lowrank_block_approx(p, k)

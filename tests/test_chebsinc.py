@@ -164,15 +164,22 @@ class TestLowRankBlock:
             assert np.max(errs) <= cap
 
     def test_monomial_product_matches_barycentric(self):
-        p = ProlateParams(256, 1.0 / 32.0)
-        l1 = int(1.0 / (4.0 * p.w))
-        ells = np.arange(-l1, 0, dtype=float)
-        for k in range(1, 9):
-            rep = lowrank_block_approx(p, k)
-            bary = np.empty((l1, p.n))
-            for n in range(p.n):
-                bary[:, n] = cheb_interpolate(p.w, n, -float(l1), -1.0, k)(ells)
-            assert np.max(np.abs(rep.matrix - bary)) <= 1e-8
+        # L1 = 8; L1 = 5, where odd k puts a node exactly on a row; and L1 = 1,
+        # the one-row block whose interpolant is the kernel value itself
+        cases = [ProlateParams(256, 1.0 / 32.0), ProlateParams(300, 0.05), ProlateParams(200, 0.2)]
+        for p in cases:
+            l1 = int(1.0 / (4.0 * p.w))
+            ells = np.arange(-l1, 0, dtype=float)
+            for k in range(1, 9):
+                rep = lowrank_block_approx(p, k)
+                bary = np.empty((l1, p.n))
+                for n in range(p.n):
+                    if l1 == 1:
+                        bary[:, n] = g(p.w, ells - n)
+                    else:
+                        bary[:, n] = cheb_interpolate(p.w, n, -float(l1), -1.0, k)(ells)
+                assert rep.l1 == l1
+                assert np.max(np.abs(rep.matrix - bary)) <= 1e-8
 
     def test_wide_band_marker(self):
         rep = lowrank_block_approx(ProlateParams(64, 0.3), 3)

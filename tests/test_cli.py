@@ -89,21 +89,41 @@ def test_sweep_small_figure2(capsys):
         assert int(fields[6]) == b1 - width
 
 
-def test_sweep_jobs_deterministic(capsys):
-    args = ["sweep", "--mode", "figure3", "--n", "256", "--w-points", "5", "--eps-list", "1e-3"]
-    code, seq, _ = run(capsys, *args)
-    assert code == 0
-    code, par, _ = run(capsys, *args, "--jobs", "4")
-    assert code == 0
-    assert seq == par
-
-
 def test_sweep_config_file(capsys, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("mode = figure2\nn_min = 16\nn_max = 32\neps = 1e-2\n")
     code, out, _ = run(capsys, "sweep", "--config", str(cfg))
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+def test_sweep_config_unknown_key(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("mode = figure2\nn_mx = 32\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'n_mx'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["eigs", "--n", "100", "--w", "0.1", "--krange", "5-9"], None),
+        (["sweep", "--n-max", "abc"], None),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "abc"], None),
+        (["sweep"], "n_max = abc\n"),
+    ],
+)
+def test_malformed_number_exit_two(capsys, tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_pswf_matches_thm2(capsys):

@@ -9,7 +9,9 @@ from prolate import (
     eigensum_tail,
     sum_bounds_cor2,
     transition_width,
+    transition_widths,
     tridiagonal_spectrum,
+    width_bound_thm1,
 )
 
 
@@ -124,6 +126,31 @@ def test_transition_width_matches_dense_count():
 def test_transition_width_advisory_regime():
     report = transition_width(ProlateParams(128, 0.25), 1e-13)
     assert report.advisory
+
+
+@pytest.mark.parametrize("w", [0.01, 0.05, 0.125])
+@pytest.mark.parametrize("n", [64, 257, 1000])
+def test_transition_widths_shared_window(n, w):
+    # one shared window gives the per-eps reports, and the counts agree with
+    # scipy's independent DPSS concentration ratios
+    from scipy.signal.windows import dpss
+
+    p = ProlateParams(n, w)
+    eps_list = [1e-3, 1e-8]
+    reports = transition_widths(p, eps_list)
+    assert reports == [transition_width(p, eps) for eps in eps_list]
+    kmax = min(n, p.tbp_ceil + width_bound_thm1(n, min(eps_list)).integer + 1)
+    _, ratios = dpss(n, n * w, kmax, return_ratios=True)
+    for report in reports:
+        eps = report.eps
+        assert report.width == int(np.sum((ratios > eps) & (ratios < 1.0 - eps)))
+
+
+def test_transition_widths_eps_validation():
+    with pytest.raises(ParameterError):
+        transition_widths(ProlateParams(10, 0.1), [])
+    with pytest.raises(ParameterError):
+        transition_widths(ProlateParams(10, 0.1), [1e-3, 0.5])
 
 
 def test_eigensum_conventions():
