@@ -82,6 +82,10 @@ def eigs_rows(n: int, w: float, krange: tuple[int, int] | None, method: str) -> 
         kmin, kmax = _auto_krange(params)
     else:
         kmin, kmax = krange
+        if not (0 <= kmin <= kmax <= n - 1):
+            raise ParameterError(
+                f"--krange must satisfy 0 <= start <= end <= {n - 1}, got {kmin}:{kmax}"
+            )
     if method == "dense":
         full = spec.dense_spectrum(params)
         lam = full.lam[kmin : kmax + 1]

@@ -12,13 +12,19 @@ of the prolate matrix:
       T[n, n+1] = (n+1)*(N-1-n)/2,
 
   so the eigenvector for concentration order k is the T-eigenvector at the
-  (k+1)-th largest T-eigenvalue (computed by bisection plus inverse
-  iteration) and lambda_k is its Rayleigh quotient against B, formed with a
-  fast Toeplitz matvec and compensated summation.
+  (k+1)-th largest T-eigenvalue. Bisection locates that eigenvalue only
+  coarsely, to a small fraction of the T-eigenvalue gap; a few shifted
+  tridiagonal solves (inverse iteration from a fixed-seed Gaussian start)
+  then polish the eigenvector, and lambda_k is its Rayleigh quotient against
+  B, formed with a fast Toeplitz matvec and one dot product per column.
 
 Eigenvalues above 1/2 are obtained through the complementary bandwidth:
-``1 - lambda_k(N, W) = lambda_{N-1-k}(N, 1/2-W)``, which preserves relative
-accuracy in ``1 - lambda`` down to the 1e-15 resolution floor.
+``1 - lambda_k(N, W) = lambda_{N-1-k}(N, 1/2-W)``, so small values of
+``1 - lambda`` are computed directly rather than by cancellation. Against
+60-digit eigenvalues at N <= 48, the relative error of the smaller of
+lambda and 1 - lambda stays below 1e-3 where that value exceeds 1e-14
+(worst seen 3.6e-4) and below 5e-2 where it exceeds the 1e-15 resolution
+floor (worst seen 2.0e-2).
 
 Per-index eigenpair computations are independent: disjoint k-ranges may be
 evaluated concurrently with results independent of scheduling.
@@ -30,7 +36,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
+# not called here; bench/tracing.py wraps this module-level name
+from scipy.linalg import eigh_tridiagonal  # noqa: F401
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalError, ParameterError
 from .kernel import (
@@ -55,15 +64,19 @@ __all__ = [
 #: width counts at or below this epsilon carry a +-1 advisory uncertainty
 ADVISORY_EPS = 1e-12
 
+#: shifted tridiagonal solves per eigenvector
+POLISH_SOLVES = 3
+
 
 @dataclass
 class SpectrumSlice:
     """A contiguous run of computed eigenvalues ``{(k, lambda_k)}``.
 
-    ``lam`` holds lambda_k clamped to [0, 1]; ``comp`` holds 1 - lambda_k at
-    full precision (exact reflection through the complementary-bandwidth
-    instance, not the rounded difference). ``saturated`` marks entries whose
-    lambda or 1 - lambda fell below the 1e-15 resolution floor.
+    ``lam`` holds lambda_k clamped to [0, 1]; ``comp`` holds 1 - lambda_k,
+    computed directly for orders below 2NW (exact reflection through the
+    complementary-bandwidth instance, not the rounded difference).
+    ``saturated`` marks entries whose lambda or 1 - lambda fell below the
+    1e-15 resolution floor.
     """
 
     params: ProlateParams
@@ -142,11 +155,17 @@ def _tridiag_bands(n: int, w: float) -> tuple[np.ndarray, np.ndarray]:
 def _concentration_eigenvectors(params: ProlateParams, klo: int, khi: int) -> np.ndarray:
     """T-eigenvectors for concentration orders klo..khi, as columns in k order."""
     n = params.n
+    if n == 1:  # T is 1 x 1, and dgtsv needs n >= 2
+        return np.ones((1, 1))
     diag, off = _tridiag_bands(n, params.w)
     lo, hi = n - 1 - khi, n - 1 - klo
+    # coarse shifts: the T-eigenvalue gaps are smallest near order 2NW, where
+    # they are about 0.11 * n * sin(2 pi W) up to n = 2**16, so each shift
+    # misses its eigenvalue by under 1e-4 of the gap
+    tol = n * math.sin(2.0 * math.pi * params.w) / 2.0**16
     try:
-        _, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz"
+        shifts = eigvalsh_tridiagonal(
+            diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol
         )
     except LinAlgError as exc:
         raise NumericalError(
@@ -154,15 +173,38 @@ def _concentration_eigenvectors(params: ProlateParams, klo: int, khi: int) -> np
             f"(n={n}, w={params.w}): {exc}"
         ) from exc
     # ascending T order maps to descending k; flip so column j is order klo + j
-    return vecs[:, ::-1]
+    return _shifted_solves(diag, off, shifts[::-1])
+
+
+def _shifted_solves(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of the tridiagonal (off, diag, off) nearest each shift.
+
+    Inverse iteration: ``POLISH_SOLVES`` solves with T - shift, normalized after
+    each, from one fixed-seed Gaussian start (which, unlike an even-symmetric
+    one, has components of both parities), so a shift always yields the same
+    vector. Each solve shrinks the other components by the ratio of the shift
+    error to the eigenvalue gap; the gaps are wide enough that no
+    re-orthogonalization is done. Columns follow ``shifts``.
+    """
+    start = np.random.default_rng(0).standard_normal(diag.size)
+    vecs = np.empty((shifts.size, diag.size))
+    for row, shift in zip(vecs, shifts):
+        v = start
+        for _ in range(POLISH_SOLVES):
+            *_, v, info = dgtsv(off, diag - shift, off, v)
+            if info != 0:
+                raise NumericalError(
+                    f"shifted tridiagonal solve failed at shift {shift} (info={info})"
+                )
+            v /= np.linalg.norm(v)
+        row[:] = v
+    return vecs.T
 
 
 def _rayleigh_quotients(params: ProlateParams, vecs: np.ndarray) -> np.ndarray:
-    """lambda = s^T (B s) per column, matvec by FFT, dot by compensated sum."""
+    """lambda = s^T (B s) per unit column s, matvec by FFT, one dot per column."""
     op = SymmetricToeplitz(sinc_kernel(params.w, np.arange(params.n)))
-    bv = op.matmat(vecs)
-    prods = vecs * bv
-    return np.array([math.fsum(prods[:, j].tolist()) for j in range(vecs.shape[1])])
+    return np.einsum("ij,ij->j", vecs, op.matmat(vecs))
 
 
 def _clamp_slice(params, kmin, kmax, method, lam_raw, comp_raw, via_comp) -> SpectrumSlice:

@@ -126,6 +126,17 @@ def test_malformed_number_exit_two(capsys, tmp_path, argv, config):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method", ["dense", "trid"])
+@pytest.mark.parametrize("krange", ["90:120", "-1:5", "9:5"])
+def test_eigs_krange_out_of_range(capsys, method, krange):
+    code, out, err = run(
+        capsys, "eigs", "--n", "100", "--w", "0.1", "--method", method, f"--krange={krange}"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --krange") and err.count("\n") == 1
+
+
 def test_pswf_matches_thm2(capsys):
     import math
 

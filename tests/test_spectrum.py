@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prolate import (
+    NumericalError,
     ParameterError,
     ProlateParams,
     dense_spectrum,
@@ -75,6 +76,95 @@ def test_tridiagonal_complement_precision():
         assert slc.comp_at(k) == pytest.approx(ref, rel=1e-6, abs=1e-13)
 
 
+def _mp_small_side(n, w):
+    """Per order k: min(lambda_k, 1 - lambda_k) and lambda_k > 1/2, at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        two_w = 2 * mp.mpf(w)  # w is the double value, as in the code under test
+        b = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                d = i - j
+                b[i, j] = two_w if d == 0 else mp.sin(mp.pi * two_w * d) / (mp.pi * d)
+        ev = mp.eigsy(b, eigvals_only=True)
+        lam = sorted((ev[i] for i in range(n)), reverse=True)
+        small = np.array([float(min(x, 1 - x)) for x in lam])
+        return small, np.array([x > 0.5 for x in lam])
+
+
+@pytest.mark.parametrize("n, w", [(24, 0.2), (40, 0.05), (48, 0.1), (48, 0.3)])
+def test_tridiagonal_relative_accuracy_oracle(n, w):
+    # relative error of the smaller of lambda and 1 - lambda (the one the
+    # route computes directly) against an independent high-precision solve;
+    # the worst cases over these instances are 2.0e-2, 3.6e-4 and 2.3e-4
+    ref, upper = _mp_small_side(n, w)
+    slc = tridiagonal_spectrum(ProlateParams(n, w), 0, n - 1)
+    got = np.where(upper, slc.comp, slc.lam)
+    rel = np.abs(got - ref) / ref
+    for floor, limit in [(1e-15, 5e-2), (1e-14, 1e-3), (1e-13, 5e-4)]:
+        assert np.max(rel[ref > floor]) < limit
+
+
+@pytest.mark.parametrize(
+    "n, lam, widths",
+    [
+        (1, [0.4], [1, 1, 1]),
+        (2, [0.7027306914562627, 0.09726930854373722], [2, 2, 1]),
+        (3, [0.8774478829180348, 0.30645107162113616, 0.016101045460829223], [3, 2, 1]),
+    ],
+)
+def test_tridiagonal_tiny_orders(n, lam, widths):
+    # the off-diagonal of T is empty (n = 1) or short; widths at
+    # eps = 1e-3, 0.05, 0.2
+    p = ProlateParams(n, 0.2)
+    slc = tridiagonal_spectrum(p, 0, n - 1)
+    assert slc.lam == pytest.approx(lam, abs=1e-15)
+    assert slc.comp == pytest.approx([1.0 - x for x in lam], abs=1e-15)
+    assert [transition_width(p, eps).width for eps in (1e-3, 0.05, 0.2)] == widths
+
+
+@pytest.mark.parametrize("w", [0.05, 0.2])
+def test_eigenvectors_match_lapack(w):
+    # every order, odd and even, against scipy's bisection + stein vectors
+    from scipy.linalg import eigh_tridiagonal
+
+    from prolate.spectrum import _concentration_eigenvectors, _tridiag_bands
+
+    n = 257
+    got = _concentration_eigenvectors(ProlateParams(n, w), 0, n - 1)
+    _, ref = eigh_tridiagonal(*_tridiag_bands(n, w), lapack_driver="stebz")
+    ref = ref[:, ::-1]  # ascending T order is descending k
+    signs = np.sign(np.sum(got * ref, axis=0))
+    assert np.max(np.abs(got - ref * signs)) <= 1e-10
+    # order k has the parity of k, so both parities are covered
+    parity = (-1.0) ** np.arange(n)
+    assert np.max(np.abs(got[::-1] - got * parity)) <= 1e-10
+
+
+def test_rayleigh_quotients_match_compensated_sum():
+    # the vectorized dot against a per-column math.fsum reference, within
+    # the error bound of a plain sum, n * eps * sum(|terms|)
+    import math
+
+    from prolate.kernel import SymmetricToeplitz, sinc_kernel
+    from prolate.spectrum import _concentration_eigenvectors, _rayleigh_quotients
+
+    p = ProlateParams(257, 0.2)
+    vecs = _concentration_eigenvectors(p, 90, 120)
+    prods = vecs * SymmetricToeplitz(sinc_kernel(p.w, np.arange(p.n))).matmat(vecs)
+    ref = np.array([math.fsum(col.tolist()) for col in prods.T])
+    bound = p.n * np.finfo(float).eps * np.abs(prods).sum(axis=0)
+    assert np.all(np.abs(_rayleigh_quotients(p, vecs) - ref) <= bound)
+
+
+def test_singular_shifted_solve_raises():
+    from prolate.spectrum import _shifted_solves
+
+    # T = [[1, 1], [1, 1]] is singular at shift 0, so the solve reports info = 2
+    with pytest.raises(NumericalError):
+        _shifted_solves(np.ones(2), np.ones(1), np.array([0.0]))
+
+
 def test_tridiagonal_saturation_flags():
     # far inside the near-1 plateau, 1 - lambda sits below the 1e-15 floor
     slc = tridiagonal_spectrum(ProlateParams(1000, 0.125), 200, 210)
@@ -144,6 +234,17 @@ def test_transition_widths_shared_window(n, w):
     for report in reports:
         eps = report.eps
         assert report.width == int(np.sum((ratios > eps) & (ratios < 1.0 - eps)))
+
+
+def test_transition_width_at_two_pow_16():
+    # the scale the README promises, against scipy's independent DPSS ratios
+    from scipy.signal.windows import dpss
+
+    n, w, eps = 65536, 2.0**-12, 1e-3
+    p = ProlateParams(n, w)
+    kmax = p.tbp_ceil + width_bound_thm1(n, eps).integer + 1
+    _, ratios = dpss(n, n * w, kmax, return_ratios=True)
+    assert transition_width(p, eps).width == int(np.sum((ratios > eps) & (ratios < 1 - eps))) == 8
 
 
 def test_transition_widths_eps_validation():
