@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from prolate import pswf_eig_envelope, pswf_proxy, pswf_width_bound
-from prolate.bounds import proxy_width_interval
+from prolate.spectrum import proxy_width_interval
 
 c = math.pi * 50.0
 print(f"c = 50 pi, time-bandwidth count 2c/pi = {2 * c / math.pi:.0f}")

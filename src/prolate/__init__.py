@@ -11,13 +11,11 @@ continuous case through a quantitative discrete proxy.
 from .bounds import (
     BoundValue,
     EnvelopeBound,
-    PSWFProxy,
     SlepianApprox,
     eig_envelope,
     eig_upper_prior,
     evaluate_bound_set,
     pswf_eig_envelope,
-    pswf_proxy,
     pswf_sum_bounds,
     pswf_width_bound,
     slepian_approx,
@@ -62,11 +60,13 @@ from .kernel import (
     toeplitz_apply,
 )
 from .spectrum import (
+    PSWFProxy,
     SpectrumSlice,
     TransitionReport,
     dense_spectrum,
     eigensum_head,
     eigensum_tail,
+    pswf_proxy,
     transition_width,
     transition_widths,
     tridiagonal_spectrum,

@@ -5,22 +5,22 @@ and their continuous counterpart ``thm3``), the per-index eigenvalue
 envelopes and head/tail sum bounds derived from them, the earlier published
 width bounds they are compared against (Zhu & Wakin 2015; Boulsane, Bourguiba
 & Karoui 2020; and the log(8N)-style bound), Slepian's classical plunge
-approximation, and the discrete-to-continuous eigenvalue proxy with its
-certified radius.
+approximation, and the certified radius ``proxy_delta`` of the
+discrete-to-continuous eigenvalue proxy (the proxy spectrum itself is
+computed in ``spectrum``).
 
 Bounds on integer counts are reported both as the raw real value and its
-floor. All functions are pure.
+floor. All functions are pure and closed-form: nothing here computes a
+spectrum, and the module imports no other layer than ``kernel``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import spectrum as spec
 from .errors import DomainError, ParameterError
 from .kernel import ProlateParams, sin_cos_2pi_product, snap_to_integer
 
@@ -28,7 +28,6 @@ __all__ = [
     "BoundValue",
     "EnvelopeBound",
     "SlepianApprox",
-    "PSWFProxy",
     "width_bound_thm1",
     "width_bound_thm2",
     "width_bound_prior",
@@ -39,8 +38,7 @@ __all__ = [
     "pswf_width_bound",
     "pswf_eig_envelope",
     "pswf_sum_bounds",
-    "pswf_proxy",
-    "proxy_width_interval",
+    "proxy_delta",
     "evaluate_bound_set",
     "EULER_MASCHERONI",
 ]
@@ -337,67 +335,12 @@ def pswf_sum_bounds(c: float, K: int, side: str) -> float:
     raise ParameterError(f"side must be 'head' or 'tail', got {side!r}")
 
 
-@dataclass(kw_only=True)
-class PSWFProxy(spec.SpectrumSlice):
-    """Discrete proxy for continuous-case eigenvalues at matched 2c/pi.
-
-    The entries are lambda_k(N, c/(pi N)); each lies within ``delta`` of the
-    continuous eigenvalue lambda~_k(c), where
-
-        delta = 4 c^3 / (3 pi N^3 sin(2c/N)).
-    """
-
-    c: float
-    delta: float
-
-
 def proxy_delta(c: float, n: int) -> float:
     """Certified radius 4c^3/(3 pi N^3 sin(2c/N)); requires N > 2c/pi."""
     c = _check_c(c)
     if not n > 2.0 * c / math.pi:
         raise DomainError(f"need N > 2c/pi = {2.0 * c / math.pi:.6g}, got N = {n}")
     return 4.0 * c**3 / (3.0 * math.pi * n**3 * math.sin(2.0 * c / n))
-
-
-def pswf_proxy(c: float, kmin: int, kmax: int, n: int) -> PSWFProxy:
-    """Estimate continuous-case eigenvalues by the discrete instance (N, c/(pi N)).
-
-    Parameters
-    ----------
-    c : float
-        Half time-bandwidth product of the continuous problem.
-    kmin, kmax : int
-        Inclusive index range of eigenvalues to estimate.
-    n : int
-        Proxy dimension; must exceed 2c/pi (this also puts c/(pi N) < 1/2).
-    """
-    delta = proxy_delta(c, n)
-    slc = spec.tridiagonal_spectrum(ProlateParams(n, c / (math.pi * n)), kmin, kmax)
-    return PSWFProxy(**vars(slc), c=float(c), delta=delta)
-
-
-def proxy_width_interval(
-    c: float, eps: float, n: int
-) -> tuple[int | None, int | None, PSWFProxy]:
-    """Bracket the continuous transition width using a proxy spectrum.
-
-    Returns ``(lo, hi, proxy)`` where ``lo`` counts proxy eigenvalues with
-    eps + delta < lambda < 1 - eps - delta (a certified lower estimate of the
-    true width) and ``hi`` counts with thresholds loosened by delta (an upper
-    estimate). ``hi`` is None when eps <= delta, in which case no upper
-    estimate is certifiable. ``lo`` is None in the degenerate case
-    eps + delta >= 1/2.
-    """
-    eps = _check_eps(eps)
-    delta = proxy_delta(c, n)
-    eps_lo, eps_hi = eps + delta, eps - delta
-    # the window must close at the smallest threshold that is counted
-    counted = [thr for thr in (eps_lo, eps_hi) if 0.0 < thr < 0.5]
-    params = ProlateParams(n, c / (math.pi * n))
-    slc = spec._transition_window(params, min(counted, default=eps))
-    lo = spec._count_run(slc, eps_lo)[0] if eps_lo < 0.5 else None
-    hi = spec._count_run(slc, eps_hi)[0] if eps_hi > 0.0 else None
-    return lo, hi, PSWFProxy(**vars(slc), c=float(c), delta=delta)
 
 
 def evaluate_bound_set(

@@ -242,12 +242,13 @@ def _read_config(path: str) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
+    # every setting: the flag if given, else the config value, else the default
     mode = args.mode or cfg.get("mode", "figure2")
     eps_list = _parse_eps_list(args.eps_list or cfg.get("eps"))
 
     if mode == "figure1":
-        n = _number(int, "n", cfg.get("n", 1000))
-        w = _number(float, "w", cfg.get("w", 0.125))
+        n = _number(int, "n", args.n or cfg.get("n", 1000))
+        w = _number(float, "w", args.w or cfg.get("w", 0.125))
         rows = eigs_rows(n, w, None, "trid")
         _emit(rows, EIGS_HEADER, args.format, args.out)
         return EXIT_OK
@@ -262,8 +263,8 @@ def cmd_sweep(args) -> int:
         points = _number(int, "w_points", args.w_points or cfg.get("w_points", 101))
         instances = figure3_instances(n, w_lo, w_hi, points)
     elif mode == "custom":
-        n_text = str(cfg.get("n_list", args.n or ""))
-        w_text = str(cfg.get("w_list", args.w or ""))
+        n_text = str(args.n or cfg.get("n_list", ""))
+        w_text = str(args.w or cfg.get("w_list", ""))
         ns = [_number(int, "n_list", tok) for tok in n_text.split(",") if tok]
         ws = [_number(float, "w_list", tok) for tok in w_text.split(",") if tok]
         instances = [(n, w) for n in ns for w in ws]
@@ -291,7 +292,7 @@ def pswf_record(c: float, eps: float, n: int | None) -> dict:
         "width_hi": None,
     }
     if n is not None:
-        lo, hi, proxy = bnd.proxy_width_interval(c, eps, n)
+        lo, hi, proxy = spec.proxy_width_interval(c, eps, n)
         record.update({"N": n, "delta": proxy.delta, "width_lo": lo, "width_hi": hi})
     return record
 

@@ -198,14 +198,14 @@ def _interval_residual(values: np.ndarray, lo: float, hi: float) -> float:
     return float(np.max(np.maximum(below, above)) / scale)
 
 
-def mobius_normalize(pair: ZolotarevSetPair, samples: int = 100) -> tuple[MobiusMap, float]:
+def mobius_normalize(pair: ZolotarevSetPair) -> tuple[MobiusMap, float]:
     """Map the pair onto the symmetric normal form [-alpha,-1], [1,alpha].
 
     Composes the interval-straightening map with the inverse of
     phi2(z) = (alpha-1)(z+1) / ((alpha+1)(z-1)). Returns the composed map and
-    the worst relative distance of the mapped samples from their target
-    intervals (first set -> [-alpha,-1], second set -> [1,alpha]); for the
-    unbounded kind the image of infinity is verified as well.
+    the worst relative distance of the mapped samples (about 100 per set) from
+    their target intervals (first set -> [-alpha,-1], second set -> [1,alpha]);
+    for the unbounded kind the image of infinity is verified as well.
     """
     alpha = pair.alpha
     if pair.kind == "unbounded":
@@ -223,7 +223,7 @@ def mobius_normalize(pair: ZolotarevSetPair, samples: int = 100) -> tuple[Mobius
     phi2 = MobiusMap([[alpha - 1.0, alpha - 1.0], [alpha + 1.0, -(alpha + 1.0)]])
     phi = phi2.inverse().compose(phi1)
 
-    first, second, has_inf = _sample_sets(pair, samples)
+    first, second, has_inf = _sample_sets(pair, 100)
     res = _interval_residual(np.asarray(phi(first)), -alpha, -1.0)
     res = max(res, _interval_residual(np.asarray(phi(second)), 1.0, alpha))
     if has_inf:
@@ -268,7 +268,7 @@ def _boundary_rows(n: int, L: int) -> np.ndarray:
     return np.concatenate([np.arange(-L, 0), np.arange(n, n + L)])
 
 
-def build_xl(params: ProlateParams, L: int, entry_cap: int = XL_ENTRY_CAP) -> DisplacementSystem:
+def build_xl(params: ProlateParams, L: int) -> DisplacementSystem:
     """Boundary matrix X_L with its rank-2 displacement factors.
 
     X[l, n] = g(l - n) over rows l in I_L = {-L..-1} u {N..N+L-1};
@@ -278,8 +278,8 @@ def build_xl(params: ProlateParams, L: int, entry_cap: int = XL_ENTRY_CAP) -> Di
     if L < 1:
         raise ParameterError(f"L must be >= 1, got {L}")
     n = params.n
-    if 2 * L * n > entry_cap:
-        raise CapacityError(f"2L*N = {2 * L * n} exceeds entry cap {entry_cap}")
+    if 2 * L * n > XL_ENTRY_CAP:
+        raise CapacityError(f"2L*N = {2 * L * n} exceeds entry cap {XL_ENTRY_CAP}")
     rows = _boundary_rows(n, L)
     cols = np.arange(n)
     # all offsets live in one contiguous table; index instead of re-evaluating

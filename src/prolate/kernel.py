@@ -58,15 +58,15 @@ def dense_cap() -> int:
     return cap
 
 
-def snap_to_integer(x: float, rel: float = 1e-12) -> float:
-    """Round ``x`` to the nearest integer when it is within ``rel`` of one.
+def snap_to_integer(x: float) -> float:
+    """Round ``x`` to the nearest integer when it is within 1e-12 (relative) of one.
 
     Quantities like 2*N*W or 2*c/pi are often integral in exact arithmetic but
     land a few ulps off after floating-point evaluation; flooring or ceiling
     them raw would then be off by one.
     """
     r = round(x)
-    if abs(x - r) <= rel * max(1.0, abs(x)):
+    if abs(x - r) <= 1e-12 * max(1.0, abs(x)):
         return float(r)
     return x
 
@@ -204,14 +204,12 @@ def sinc_entry(w: float, d: int) -> float:
     return float(sinc_kernel(w, float(d)))
 
 
-def build_prolate_matrix(params: ProlateParams, cap: int | None = None) -> np.ndarray:
+def build_prolate_matrix(params: ProlateParams) -> np.ndarray:
     """Dense N x N prolate matrix for ``params``.
 
     Parameters
     ----------
     params : ProlateParams
-    cap : int, optional
-        Materialization cap; defaults to :func:`dense_cap`.
 
     Returns
     -------
@@ -221,9 +219,9 @@ def build_prolate_matrix(params: ProlateParams, cap: int | None = None) -> np.nd
     Raises
     ------
     CapacityError
-        If ``params.n`` exceeds the cap.
+        If ``params.n`` exceeds :func:`dense_cap`.
     """
-    limit = dense_cap() if cap is None else int(cap)
+    limit = dense_cap()
     if params.n > limit:
         raise CapacityError(f"n = {params.n} exceeds dense materialization cap {limit}")
     col = sinc_kernel(params.w, np.arange(params.n))
@@ -239,7 +237,7 @@ def _embed_size(n: int) -> int:
 
 
 class SymmetricToeplitz:
-    """Symmetric Toeplitz operator with an O(N log N) matvec.
+    """Symmetric Toeplitz operator with an O(N log N) product.
 
     The first column defines the matrix. The circulant embedding (size: next
     power of two >= 2N-1) is transformed once, so repeated products against
@@ -263,13 +261,6 @@ class SymmetricToeplitz:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
-
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ParameterError(f"vector length {x.shape} does not match order {self.n}")
-        y = np.fft.irfft(self._kernel_fft * np.fft.rfft(x, self._m), self._m)
-        return y[: self.n]
 
     def matmat(self, xs) -> np.ndarray:
         """Apply to each column of ``xs`` (N x K), returning an N x K array."""
@@ -305,7 +296,7 @@ def toeplitz_apply(first_column, x) -> np.ndarray:
         raise ParameterError(
             f"length mismatch: first_column has {op.n} entries, x has {x.shape}"
         )
-    return op.matvec(x)
+    return op.matmat(x[:, None])[:, 0]
 
 
 def sinc_identity_residual(w: float, m: int, n: int, L: int) -> float:

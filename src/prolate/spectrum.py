@@ -26,6 +26,11 @@ lambda and 1 - lambda stays below 1e-3 where that value exceeds 1e-14
 (worst seen 3.6e-4) and below 5e-2 where it exceeds the 1e-15 resolution
 floor (worst seen 2.0e-2).
 
+The continuous (PSWF) eigenvalues are reached through a discrete proxy:
+the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
+``bounds.proxy_delta`` of them, so :func:`pswf_proxy` and
+:func:`proxy_width_interval` are spectrum computations on that instance.
+
 Per-index eigenpair computations are independent: disjoint k-ranges may be
 evaluated concurrently with results independent of scheduling.
 """
@@ -41,6 +46,7 @@ from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dgtsv
 
+from .bounds import proxy_delta, width_bound_thm1
 from .errors import NumericalError, ParameterError
 from .kernel import (
     RESOLUTION_FLOOR,
@@ -59,6 +65,9 @@ __all__ = [
     "transition_widths",
     "eigensum_head",
     "eigensum_tail",
+    "PSWFProxy",
+    "pswf_proxy",
+    "proxy_width_interval",
 ]
 
 #: width counts at or below this epsilon carry a +-1 advisory uncertainty
@@ -82,15 +91,10 @@ class SpectrumSlice:
     params: ProlateParams
     kmin: int
     kmax: int
-    method: str
     lam: np.ndarray
     comp: np.ndarray
     saturated: np.ndarray
-    via_complement: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.via_complement is None:
-            self.via_complement = np.zeros(self.lam.shape, dtype=bool)
+    via_complement: np.ndarray = field(repr=False)
 
     @property
     def entries(self) -> list[tuple[int, float]]:
@@ -173,7 +177,14 @@ def _concentration_eigenvectors(params: ProlateParams, klo: int, khi: int) -> np
             f"(n={n}, w={params.w}): {exc}"
         ) from exc
     # ascending T order maps to descending k; flip so column j is order klo + j
-    return _shifted_solves(diag, off, shifts[::-1])
+    shifts = shifts[::-1]
+    try:
+        return _shifted_solves(diag, off, shifts)
+    except NumericalError:
+        # where cos(2 pi W) rounds to +-1 (W within about 1e-9 of 0 or 1/2), T
+        # has exactly representable eigenvalues that bisection can return to
+        # the last bit, making T - shift singular; a few ulps off, it is not
+        return _shifted_solves(diag, off, shifts + 4.0 * np.spacing(np.abs(shifts)))
 
 
 def _shifted_solves(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -207,13 +218,12 @@ def _rayleigh_quotients(params: ProlateParams, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", vecs, op.matmat(vecs))
 
 
-def _clamp_slice(params, kmin, kmax, method, lam_raw, comp_raw, via_comp) -> SpectrumSlice:
+def _clamp_slice(params, kmin, kmax, lam_raw, comp_raw, via_comp) -> SpectrumSlice:
     saturated = (np.abs(lam_raw) < RESOLUTION_FLOOR) | (np.abs(comp_raw) < RESOLUTION_FLOOR)
     return SpectrumSlice(
         params=params,
         kmin=kmin,
         kmax=kmax,
-        method=method,
         lam=np.clip(lam_raw, 0.0, 1.0),
         comp=np.clip(comp_raw, 0.0, 1.0),
         saturated=saturated,
@@ -221,16 +231,16 @@ def _clamp_slice(params, kmin, kmax, method, lam_raw, comp_raw, via_comp) -> Spe
     )
 
 
-def dense_spectrum(params: ProlateParams, cap: int | None = None) -> SpectrumSlice:
+def dense_spectrum(params: ProlateParams) -> SpectrumSlice:
     """Full spectrum by a dense symmetric eigensolver, sorted descending.
 
     Oracle route; requires ``params.n`` within the dense cap.
     """
-    matrix = build_prolate_matrix(params, cap=cap)
+    matrix = build_prolate_matrix(params)
     lam = np.linalg.eigvalsh(matrix)[::-1]
     comp = 1.0 - lam
     via = np.zeros(lam.shape, dtype=bool)
-    return _clamp_slice(params, 0, params.n - 1, "dense", lam, comp, via)
+    return _clamp_slice(params, 0, params.n - 1, lam, comp, via)
 
 
 def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> SpectrumSlice:
@@ -255,28 +265,23 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
     via = np.zeros(count, dtype=bool)
 
     split = params.tbp_floor  # orders < split go through the complement
-    hi_lo, hi_hi = kmin, min(kmax, split - 1)
-    if hi_lo <= hi_hi:
-        comp_params = params.complement()
-        # lambda_k(N, W) = 1 - lambda_{N-1-k}(N, 1/2 - W)
-        jlo, jhi = n - 1 - hi_hi, n - 1 - hi_lo
-        vecs = _concentration_eigenvectors(comp_params, jlo, jhi)
-        mu = _rayleigh_quotients(comp_params, vecs)  # ordered by j ascending
-        mu = mu[::-1]  # now ordered by k ascending
-        sel = slice(hi_lo - kmin, hi_hi - kmin + 1)
-        lam[sel] = 1.0 - mu
-        comp[sel] = mu
-        via[sel] = True
+    for reflected, lo, hi in ((True, kmin, min(kmax, split - 1)), (False, max(kmin, split), kmax)):
+        if lo > hi:
+            continue
+        # lambda_k(N, W) = 1 - lambda_{N-1-k}(N, 1/2 - W): a reflected half takes
+        # the complement's orders N-1-hi..N-1-lo, which run backwards in k
+        if reflected:
+            inst, jlo, jhi = params.complement(), n - 1 - hi, n - 1 - lo
+        else:
+            inst, jlo, jhi = params, lo, hi
+        vals = _rayleigh_quotients(inst, _concentration_eigenvectors(inst, jlo, jhi))
+        sel = slice(lo - kmin, hi - kmin + 1)
+        own, other = (comp, lam) if reflected else (lam, comp)
+        own[sel] = vals[::-1] if reflected else vals
+        other[sel] = 1.0 - own[sel]
+        via[sel] = reflected
 
-    lo_lo, lo_hi = max(kmin, split), kmax
-    if lo_lo <= lo_hi:
-        vecs = _concentration_eigenvectors(params, lo_lo, lo_hi)
-        vals = _rayleigh_quotients(params, vecs)
-        sel = slice(lo_lo - kmin, lo_hi - kmin + 1)
-        lam[sel] = vals
-        comp[sel] = 1.0 - vals
-
-    return _clamp_slice(params, kmin, kmax, "tridiagonal", lam, comp, via)
+    return _clamp_slice(params, kmin, kmax, lam, comp, via)
 
 
 def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | None]:
@@ -292,8 +297,6 @@ def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | N
 
 def _transition_window(params: ProlateParams, eps: float) -> SpectrumSlice:
     """Slice around 2NW grown until both endpoints leave (eps, 1 - eps)."""
-    from .bounds import width_bound_thm1  # bounds imports this module
-
     n = params.n
     center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
     center_hi = min(max(params.tbp_ceil, 0), n - 1)
@@ -347,26 +350,7 @@ def transition_width(params: ProlateParams, eps: float) -> TransitionReport:
     return transition_widths(params, [eps])[0]
 
 
-def _spectrum_for_sum(params: ProlateParams, kmin: int, kmax: int, method: str) -> SpectrumSlice:
-    if method == "dense":
-        full = dense_spectrum(params)
-        sel = slice(kmin, kmax + 1)
-        return SpectrumSlice(
-            params=params,
-            kmin=kmin,
-            kmax=kmax,
-            method="dense",
-            lam=full.lam[sel],
-            comp=full.comp[sel],
-            saturated=full.saturated[sel],
-            via_complement=full.via_complement[sel],
-        )
-    if method == "tridiagonal":
-        return tridiagonal_spectrum(params, kmin, kmax)
-    raise ParameterError(f"unknown method {method!r}")
-
-
-def eigensum_tail(params: ProlateParams, K: int, method: str = "tridiagonal") -> float:
+def eigensum_tail(params: ProlateParams, K: int) -> float:
     """Sum of the trailing eigenvalues ``sum_{k=K..N-1} lambda_k``.
 
     ``K = 0`` sums the whole spectrum (the trace, 2NW); ``K = N`` is 0.
@@ -376,10 +360,10 @@ def eigensum_tail(params: ProlateParams, K: int, method: str = "tridiagonal") ->
         raise ParameterError(f"need 0 <= K <= {n}, got {K}")
     if K == n:
         return 0.0
-    return _spectrum_for_sum(params, K, n - 1, method).sum_lambdas()
+    return tridiagonal_spectrum(params, K, n - 1).sum_lambdas()
 
 
-def eigensum_head(params: ProlateParams, K: int, method: str = "tridiagonal") -> float:
+def eigensum_head(params: ProlateParams, K: int) -> float:
     """Sum of the leading eigenvalue defects ``sum_{k=0..K-1} (1 - lambda_k)``.
 
     Computed as the trailing sum of the complementary-bandwidth instance
@@ -390,4 +374,60 @@ def eigensum_head(params: ProlateParams, K: int, method: str = "tridiagonal") ->
         raise ParameterError(f"need 0 <= K <= {n}, got {K}")
     if K == 0:
         return 0.0
-    return eigensum_tail(params.complement(), n - K, method=method)
+    return eigensum_tail(params.complement(), n - K)
+
+
+@dataclass(kw_only=True)
+class PSWFProxy(SpectrumSlice):
+    """Discrete proxy for continuous-case eigenvalues at matched 2c/pi.
+
+    The entries are lambda_k(N, c/(pi N)); each lies within ``delta`` of the
+    continuous eigenvalue lambda~_k(c), where
+
+        delta = 4 c^3 / (3 pi N^3 sin(2c/N)).
+    """
+
+    c: float
+    delta: float
+
+
+def pswf_proxy(c: float, kmin: int, kmax: int, n: int) -> PSWFProxy:
+    """Estimate continuous-case eigenvalues by the discrete instance (N, c/(pi N)).
+
+    Parameters
+    ----------
+    c : float
+        Half time-bandwidth product of the continuous problem.
+    kmin, kmax : int
+        Inclusive index range of eigenvalues to estimate.
+    n : int
+        Proxy dimension; must exceed 2c/pi (this also puts c/(pi N) < 1/2).
+    """
+    delta = proxy_delta(c, n)
+    slc = tridiagonal_spectrum(ProlateParams(n, c / (math.pi * n)), kmin, kmax)
+    return PSWFProxy(**vars(slc), c=float(c), delta=delta)
+
+
+def proxy_width_interval(
+    c: float, eps: float, n: int
+) -> tuple[int | None, int | None, PSWFProxy]:
+    """Bracket the continuous transition width using a proxy spectrum.
+
+    Returns ``(lo, hi, proxy)`` where ``lo`` counts proxy eigenvalues with
+    eps + delta < lambda < 1 - eps - delta (a certified lower estimate of the
+    true width) and ``hi`` counts with thresholds loosened by delta (an upper
+    estimate). ``hi`` is None when eps <= delta, in which case no upper
+    estimate is certifiable. ``lo`` is None in the degenerate case
+    eps + delta >= 1/2.
+    """
+    if not (0.0 < eps < 0.5):
+        raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
+    delta = proxy_delta(c, n)
+    eps_lo, eps_hi = eps + delta, eps - delta
+    # the window must close at the smallest threshold that is counted
+    counted = [thr for thr in (eps_lo, eps_hi) if 0.0 < thr < 0.5]
+    params = ProlateParams(n, c / (math.pi * n))
+    slc = _transition_window(params, min(counted, default=eps))
+    lo = _count_run(slc, eps_lo)[0] if eps_lo < 0.5 else None
+    hi = _count_run(slc, eps_hi)[0] if eps_hi > 0.0 else None
+    return lo, hi, PSWFProxy(**vars(slc), c=float(c), delta=delta)

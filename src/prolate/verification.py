@@ -18,6 +18,7 @@ from . import displacement as disp
 from . import spectrum as spec
 from .errors import ParameterError
 from .kernel import (
+    RESOLUTION_FLOOR,
     ProlateParams,
     build_prolate_matrix,
     near_block_rows,
@@ -202,8 +203,7 @@ def _sum_curves(p: ProlateParams) -> tuple[np.ndarray, np.ndarray]:
     """(head sums for K=1..fl, tail sums for K=ce..N-1) from precise spectra."""
     n = p.n
     fl, ce = p.tbp_floor, p.tbp_ceil
-    comp_tail = spec.tridiagonal_spectrum(p.complement(), n - fl, n - 1).lam[::-1]
-    heads = np.cumsum(comp_tail)[:fl]  # head(K) = sum of fl smallest complements
+    heads = np.cumsum(spec.tridiagonal_spectrum(p, 0, fl - 1).comp)  # sum_{k<K} (1 - lam_k)
     direct = spec.tridiagonal_spectrum(p, ce, n - 1).lam
     tails = np.cumsum(direct[::-1])[::-1]  # tails[j] = sum_{k >= ce + j} lam_k
     return heads, tails
@@ -216,8 +216,6 @@ def sum_noise_allowance(count: int) -> float:
     so a computed sum cannot be certified below count * 1e-15 even when the
     analytic cap keeps decaying.
     """
-    from .kernel import RESOLUTION_FLOOR
-
     return count * RESOLUTION_FLOOR
 
 
@@ -267,7 +265,7 @@ def _check_proxy_containment() -> CheckResult:
     bad = []
     prox = {}
     for n in (2000, 4000):
-        prox[n] = bnd.pswf_proxy(c, 0, 140, n)
+        prox[n] = spec.pswf_proxy(c, 0, 140, n)
         for k, lam in prox[n].entries:
             env = bnd.pswf_eig_envelope(c, k)
             if not (env.lower - prox[n].delta <= lam <= env.upper + prox[n].delta):

@@ -173,7 +173,7 @@ def test_criterion_11_pswf_suite():
             for k, lam in proxy.entries:
                 env = pr.pswf_eig_envelope(c, k)
                 assert env.lower - proxy.delta <= lam <= env.upper + proxy.delta, (n, k)
-        from prolate.bounds import proxy_width_interval
+        from prolate.spectrum import proxy_width_interval
 
         for eps in (1e-2, 1e-3):
             cap = pr.pswf_width_bound(c, eps).integer

@@ -189,6 +189,33 @@ def test_sweep_figure1_emits_eigs_table(capsys):
     assert ks[0] <= 243 and ks[-1] >= 256  # covers the published plunge rows
 
 
+@pytest.mark.parametrize("config", [None, "n = 1000\nw = 0.125\n"])
+def test_sweep_figure1_flags_win(capsys, tmp_path, config):
+    argv = ["sweep", "--mode", "figure1", "--n", "64", "--w", "0.2"]
+    if config is not None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, expected, _ = run(capsys, "eigs", "--n", "64", "--w", "0.2")
+    assert code == 0
+    assert out == expected
+
+
+def test_sweep_custom_flags_override_config(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("mode = custom\nn_list = 32\nw_list = 0.1\neps = 1e-2\n")
+    code, out, _ = run(capsys, "sweep", "--config", str(cfg), "--n", "16,64", "--w", "0.2")
+    assert code == 0
+    rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+    assert rows == [["16", "0.20000000000000001", "0.01"], ["64", "0.20000000000000001", "0.01"]]
+    code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    rows = [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+    assert rows == [["32", "0.10000000000000001", "0.01"]]
+
+
 def test_bad_parameters_exit_two(capsys):
     code, _, err = run(capsys, "width", "--n", "1000", "--w", "0.7", "--eps", "1e-3")
     assert code == 2

@@ -165,6 +165,18 @@ def test_singular_shifted_solve_raises():
         _shifted_solves(np.ones(2), np.ones(1), np.array([0.0]))
 
 
+@pytest.mark.parametrize(
+    "n, w", [(392, 0.49999999999999994), (101, 0.4999999999999999), (2, 1e-12), (64, 1e-10)]
+)
+def test_tridiagonal_bandwidth_at_float_limits(n, w):
+    # cos(2 pi W) rounds to +-1 here and bisection can return a T-eigenvalue
+    # exactly, so the first shifted solve meets a singular matrix
+    p = ProlateParams(n, w)
+    slc = tridiagonal_spectrum(p, 0, n - 1)
+    assert np.max(np.abs(slc.lam - dense_spectrum(p).lam)) <= 1e-10
+    assert transition_width(p, 1e-2).width == 0
+
+
 def test_tridiagonal_saturation_flags():
     # far inside the near-1 plateau, 1 - lambda sits below the 1e-15 floor
     slc = tridiagonal_spectrum(ProlateParams(1000, 0.125), 200, 210)
