@@ -9,6 +9,15 @@ approximation, and the certified radius ``proxy_delta`` of the
 discrete-to-continuous eigenvalue proxy (the proxy spectrum itself is
 computed in ``spectrum``).
 
+Every envelope and sum bound is one decay law, inverted from a width bound.
+With the split at 2NW (or 2c/pi) and d the distance from it, d = fl-1-k
+(head) or k-ce (tail) for lambda_k and d = fl-K or K-ce for a sum from K,
+the bound is the min over terms (a, s, t) of a*exp(-(d - s)/t). The rates
+are t1 = (2/pi^2) log(4N), t2 = (2/pi^2) log(100NW+25) and, continuous,
+t = (2/pi^2) log(100c/pi+25). Envelope terms have offset s = 1 (rate t1,
+a = 8) or 6 (rates t2 and t, a = 10); a sum term is an envelope term summed
+over all larger d, prefactor a*t and offset 2 or 7.
+
 Bounds on integer counts are reported both as the raw real value and its
 floor. All functions are pure and closed-form: nothing here computes a
 spectrum, and the module imports no other layer than ``kernel``.
@@ -16,6 +25,7 @@ spectrum, and the module imports no other layer than ``kernel``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import NamedTuple
 
@@ -83,7 +93,16 @@ def _check_eps(eps: float) -> float:
 def _check_c(c: float) -> float:
     if not c > 0.0:
         raise ParameterError(f"c must be positive, got {c}")
+    if not math.isfinite(c):
+        raise ParameterError(f"c must be finite, got {c}")
     return float(c)
+
+
+def _count_bound(name: str, value: float) -> BoundValue:
+    """A real bound on a count and its floor; DomainError where it overflowed."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} overflows in double precision")
+    return BoundValue(value, int(math.floor(value)))
 
 
 def width_bound_thm1(n: int, eps: float) -> BoundValue:
@@ -94,7 +113,10 @@ def width_bound_thm1(n: int, eps: float) -> BoundValue:
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     eps = _check_eps(eps)
-    value = 2 * math.ceil(math.log(4.0 * n) * math.log(4.0 / (eps * (1.0 - eps))) / _PI2)
+    half = math.log(4.0 * n) * math.log(4.0 / (eps * (1.0 - eps))) / _PI2
+    if not math.isfinite(half):
+        raise DomainError("thm1 overflows in double precision")
+    value = 2 * math.ceil(half)
     return BoundValue(float(value), int(value))
 
 
@@ -106,7 +128,7 @@ def pswf_width_bound(c: float, eps: float) -> BoundValue:
         2.0 / _PI2 * math.log(100.0 * c / math.pi + 25.0) * math.log(5.0 / (eps * (1.0 - eps)))
         + 7.0
     )
-    return BoundValue(value, int(math.floor(value)))
+    return _count_bound("thm3", value)
 
 
 def width_bound_thm2(n: int, w: float, eps: float) -> BoundValue:
@@ -127,8 +149,8 @@ def width_bound_prior(n: int, w: float, eps: float, which: str) -> BoundValue:
     * ``'eq2'`` : [(2/pi^2) log(N-1) + (2/pi^2)(2N-1)/(N-1)] / (eps(1-eps)),
       valid for N >= 2  (Zhu & Wakin 2015);
     * ``'eq3'`` : [(1/pi^2) log(2NW) + 0.45 - (2/3)W^2
-      + sin^2(2 pi N W)/(6 pi^2 N^2)] / (eps(1-eps))
-      (Boulsane, Bourguiba & Karoui 2020);
+      + sin^2(2 pi N W)/(6 pi^2 N^2)] / (eps(1-eps)),
+      valid where it is not negative (Boulsane, Bourguiba & Karoui 2020);
     * ``'eq6'`` : ((8/pi^2) log(8N) + 12) * log(15/eps).
     """
     p = ProlateParams(n, w)
@@ -147,61 +169,94 @@ def width_bound_prior(n: int, w: float, eps: float, which: str) -> BoundValue:
             - 2.0 / 3.0 * p.w**2
             + s**2 / (6.0 * _PI2 * p.n**2)
         ) / (eps * (1.0 - eps))
+        if value < 0.0:
+            raise DomainError(f"eq3 is negative at 2NW = {2.0 * p.n * p.w:.6g}")
     elif which == "eq6":
         value = (8.0 / _PI2 * math.log(8.0 * p.n) + 12.0) * math.log(15.0 / eps)
     else:
         raise ParameterError(f"which must be one of 'eq2', 'eq3', 'eq6', got {which!r}")
-    return BoundValue(value, int(math.floor(value)))
+    return _count_bound(which, value)
 
 
-def _envelope_rates(n: int, w: float) -> tuple[float, float]:
-    t1 = 2.0 / _PI2 * math.log(4.0 * n)
-    t2 = 2.0 / _PI2 * math.log(100.0 * n * w + 25.0)
-    return t1, t2
+def _discrete_law(p: ProlateParams) -> tuple[int, int, tuple]:
+    """Floor and ceil of 2NW and the envelope terms (a, s, log x) of Theorems 1 and 2."""
+    terms = ((8.0, 1, math.log(4.0 * p.n)), (10.0, 6, math.log(100.0 * p.n * p.w + 25.0)))
+    return p.tbp_floor, p.tbp_ceil, terms
+
+
+def _pswf_law(c: float) -> tuple[int, int, tuple]:
+    """Floor and ceil of 2c/pi and the envelope term (a, s, log x) of Theorem 3."""
+    split = snap_to_integer(2.0 * c / math.pi)
+    return math.floor(split), math.ceil(split), ((10.0, 6, math.log(100.0 * c / math.pi + 25.0)),)
+
+
+def _decay(d: int, terms: tuple, summed: bool = False) -> float:
+    """The decay law at distance ``d`` from the split: min over ``terms``.
+
+    A term (a, s, log x) has rate t = (2/pi^2) log x and bounds one margin by
+    a exp(-(d - s)/t). ``summed`` bounds the margins at all distances >= d
+    together by their integral from d - 1, a t exp(-(d - s - 1)/t), with
+    a t evaluated as (2a/pi^2) log x.
+    """
+    if summed:
+        terms = [(2.0 * a / _PI2 * log_x, s + 1, log_x) for a, s, log_x in terms]
+    return min(a * math.exp(-(d - s) / (2.0 / _PI2 * log_x)) for a, s, log_x in terms)
+
+
+def _envelope(law: tuple[int, int, tuple], k: int, midpoint: bool) -> EnvelopeBound:
+    """Envelope of lambda_k from the decay law on its side of the split.
+
+    A head index bounds 1 - lambda_k at d = fl-1-k, a tail index bounds
+    lambda_k at d = k-ce; a bound above 1 is clamped and flagged
+    ``'uninformative'``. With ``midpoint`` the two indices at d = 0 also take
+    the 1/2 split (lambda_{fl-1} >= 1/2 >= lambda_{ce}), flagged ``'midpoint'``.
+    """
+    fl, ce, terms = law
+    if fl - 1 < k < ce:
+        # single index strictly between fl-1 and ce (2NW or 2c/pi non-integral)
+        return EnvelopeBound(0.0, 1.0, frozenset({"uninformative"}))
+    d = fl - 1 - k if k < ce else k - ce
+    bound = _decay(d, terms)
+    flags = set()
+    if bound > 1.0:
+        bound = 1.0
+        flags.add("uninformative")
+    if midpoint and d == 0 and bound > 0.5:
+        bound = 0.5
+        flags.add("midpoint")
+    if k < ce:
+        return EnvelopeBound(1.0 - bound, 1.0, frozenset(flags))
+    return EnvelopeBound(0.0, bound, frozenset(flags))
+
+
+def _sum_bound(law: tuple[int, int, tuple], K: int, side: str, last: int | None) -> float:
+    """Head sum over k < K (d = fl-K) or tail sum over K <= k <= ``last`` (d = K-ce)."""
+    fl, ce, terms = law
+    if side == "head":
+        if not (1 <= K <= fl):
+            raise DomainError(f"head side requires 1 <= K <= {fl}, got {K}")
+        return _decay(fl - K, terms, summed=True)
+    if side == "tail":
+        if not (ce <= K and (last is None or K <= last)):
+            span = f"K >= {ce}" if last is None else f"{ce} <= K <= {last}"
+            raise DomainError(f"tail side requires {span}, got {K}")
+        return _decay(K - ce, terms, summed=True)
+    raise ParameterError(f"side must be 'head' or 'tail', got {side!r}")
 
 
 def eig_envelope(n: int, w: float, k: int) -> EnvelopeBound:
     """Non-asymptotic envelope [lower, upper] for lambda_k.
 
-    For k <= floor(2NW)-1 the lower bound is
-    1 - min{8 exp(-(fl-k-2)/t1), 10 exp(-(fl-k-7)/t2)} with
-    t1 = (2/pi^2) log(4N) and t2 = (2/pi^2) log(100NW+25); for
-    k >= ceil(2NW) the mirrored expression bounds lambda_k from above. Raw
-    values outside [0, 1] are clamped and flagged ``'uninformative'``. The
-    midpoint indices additionally inherit the 1/2 split
-    (lambda_{fl-1} >= 1/2 >= lambda_{ce}), flagged ``'midpoint'``.
+    For k <= floor(2NW)-1 the lower bound is 1 - min{8 exp(-(fl-k-2)/t1),
+    10 exp(-(fl-k-7)/t2)}; for k >= ceil(2NW) the mirrored expression bounds
+    lambda_k from above. Raw values outside [0, 1] are clamped and flagged
+    ``'uninformative'``; lambda_{fl-1} >= 1/2 >= lambda_{ce} also applies,
+    flagged ``'midpoint'``.
     """
     p = ProlateParams(n, w)
     if not (0 <= k <= p.n - 1):
         raise ParameterError(f"k must lie in [0, {p.n - 1}], got {k}")
-    fl, ce = p.tbp_floor, p.tbp_ceil
-    t1, t2 = _envelope_rates(p.n, p.w)
-    flags = set()
-    if k <= fl - 1:
-        raw = 1.0 - min(
-            8.0 * math.exp(-(fl - k - 2) / t1), 10.0 * math.exp(-(fl - k - 7) / t2)
-        )
-        lower, upper = raw, 1.0
-        if raw < 0.0:
-            lower = 0.0
-            flags.add("uninformative")
-        if k == fl - 1 and lower < 0.5:
-            lower = 0.5
-            flags.add("midpoint")
-    elif k >= ce:
-        raw = min(8.0 * math.exp(-(k - ce - 1) / t1), 10.0 * math.exp(-(k - ce - 6) / t2))
-        lower, upper = 0.0, raw
-        if raw > 1.0:
-            upper = 1.0
-            flags.add("uninformative")
-        if k == ce and upper > 0.5:
-            upper = 0.5
-            flags.add("midpoint")
-    else:
-        # single index strictly between fl-1 and ce (2NW non-integral)
-        lower, upper = 0.0, 1.0
-        flags.add("uninformative")
-    return EnvelopeBound(lower, upper, frozenset(flags))
+    return _envelope(_discrete_law(p), k, midpoint=True)
 
 
 def eig_upper_prior(n: int, w: float, k: int, which: str) -> float | None:
@@ -236,25 +291,7 @@ def sum_bounds_cor2(n: int, w: float, K: int, side: str) -> float:
     Each is the min of a log(4N)-rate and a log(100NW+25)-rate expression.
     """
     p = ProlateParams(n, w)
-    fl, ce = p.tbp_floor, p.tbp_ceil
-    t1, t2 = _envelope_rates(p.n, p.w)
-    a1 = 16.0 / _PI2 * math.log(4.0 * p.n)
-    a2 = 20.0 / _PI2 * math.log(100.0 * p.n * p.w + 25.0)
-    if side == "head":
-        if not (1 <= K <= fl):
-            raise DomainError(f"head side requires 1 <= K <= {fl}, got {K}")
-        return min(
-            a1 * math.exp(-(fl - K - 2) / t1),
-            a2 * math.exp(-(fl - K - 7) / t2),
-        )
-    if side == "tail":
-        if not (ce <= K <= p.n - 1):
-            raise DomainError(f"tail side requires {ce} <= K <= {p.n - 1}, got {K}")
-        return min(
-            a1 * math.exp(-(K - ce - 2) / t1),
-            a2 * math.exp(-(K - ce - 7) / t2),
-        )
-    raise ParameterError(f"side must be 'head' or 'tail', got {side!r}")
+    return _sum_bound(_discrete_law(p), K, side, p.n - 1)
 
 
 def slepian_approx(n: int, w: float, k: float) -> SlepianApprox:
@@ -277,10 +314,6 @@ def slepian_approx(n: int, w: float, k: float) -> SlepianApprox:
     return SlepianApprox(value, not (0.2 < value < 0.8))
 
 
-def _pswf_tbp(c: float) -> float:
-    return snap_to_integer(2.0 * c / math.pi)
-
-
 def pswf_eig_envelope(c: float, k: int) -> EnvelopeBound:
     """Envelope for the k-th continuous-case eigenvalue.
 
@@ -291,26 +324,7 @@ def pswf_eig_envelope(c: float, k: int) -> EnvelopeBound:
     c = _check_c(c)
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
-    tbp = _pswf_tbp(c)
-    fl, ce = int(math.floor(tbp)), int(math.ceil(tbp))
-    t = 2.0 / _PI2 * math.log(100.0 * c / math.pi + 25.0)
-    flags = set()
-    if k <= fl - 1:
-        raw = 1.0 - 10.0 * math.exp(-(fl - k - 7) / t)
-        lower, upper = raw, 1.0
-        if raw < 0.0:
-            lower = 0.0
-            flags.add("uninformative")
-    elif k >= ce:
-        raw = 10.0 * math.exp(-(k - ce - 6) / t)
-        lower, upper = 0.0, raw
-        if raw > 1.0:
-            upper = 1.0
-            flags.add("uninformative")
-    else:
-        lower, upper = 0.0, 1.0
-        flags.add("uninformative")
-    return EnvelopeBound(lower, upper, frozenset(flags))
+    return _envelope(_pswf_law(c), k, midpoint=False)
 
 
 def pswf_sum_bounds(c: float, K: int, side: str) -> float:
@@ -319,20 +333,7 @@ def pswf_sum_bounds(c: float, K: int, side: str) -> float:
     ``side='head'`` (1 <= K <= floor(2c/pi)) bounds sum_{k<K}(1 - lambda~_k);
     ``side='tail'`` (K >= ceil(2c/pi)) bounds sum_{k>=K} lambda~_k.
     """
-    c = _check_c(c)
-    tbp = _pswf_tbp(c)
-    fl, ce = int(math.floor(tbp)), int(math.ceil(tbp))
-    t = 2.0 / _PI2 * math.log(100.0 * c / math.pi + 25.0)
-    a = 20.0 / _PI2 * math.log(100.0 * c / math.pi + 25.0)
-    if side == "head":
-        if not (1 <= K <= fl):
-            raise DomainError(f"head side requires 1 <= K <= {fl}, got {K}")
-        return a * math.exp(-(fl - K - 7) / t)
-    if side == "tail":
-        if not (K >= ce):
-            raise DomainError(f"tail side requires K >= {ce}, got {K}")
-        return a * math.exp(-(K - ce - 7) / t)
-    raise ParameterError(f"side must be 'head' or 'tail', got {side!r}")
+    return _sum_bound(_pswf_law(_check_c(c)), K, side, None)
 
 
 def proxy_delta(c: float, n: int) -> float:
@@ -363,12 +364,12 @@ def evaluate_bound_set(
     out: dict = {
         "thm1": width_bound_thm1(p.n, eps),
         "thm2": width_bound_thm2(p.n, p.w, eps),
-        "eq3_boulsane": width_bound_prior(p.n, p.w, eps, "eq3"),
         "eq6_fst": width_bound_prior(p.n, p.w, eps, "eq6"),
         "thm3_pswf": pswf_width_bound(c, eps),
     }
-    if p.n >= 2:
-        out["eq2_zhuwakin"] = width_bound_prior(p.n, p.w, eps, "eq2")
+    for key, which in (("eq2_zhuwakin", "eq2"), ("eq3_boulsane", "eq3")):
+        with contextlib.suppress(DomainError):  # eq2 needs N >= 2, eq3 a value >= 0
+            out[key] = width_bound_prior(p.n, p.w, eps, which)
     if k is not None:
         env = eig_envelope(p.n, p.w, k)
         out["cor1_lower"] = env.lower
@@ -380,12 +381,9 @@ def evaluate_bound_set(
         out["cor3_lower"] = penv.lower
         out["cor3_upper"] = penv.upper
     if K is not None:
-        fl, ce = p.tbp_floor, p.tbp_ceil
-        if 1 <= K <= fl:
-            out["cor2_head"] = sum_bounds_cor2(p.n, p.w, K, "head")
-            out["cor4_head"] = pswf_sum_bounds(c, K, "head")
-        if ce <= K <= p.n - 1:
-            out["cor2_tail"] = sum_bounds_cor2(p.n, p.w, K, "tail")
-        if K >= ce:
-            out["cor4_tail"] = pswf_sum_bounds(c, K, "tail")
+        for side in ("head", "tail"):  # a side whose range excludes K is left out
+            with contextlib.suppress(DomainError):
+                out[f"cor2_{side}"] = sum_bounds_cor2(p.n, p.w, K, side)
+            with contextlib.suppress(DomainError):
+                out[f"cor4_{side}"] = pswf_sum_bounds(c, K, side)
     return out

@@ -123,16 +123,18 @@ def cmd_eigs(args) -> int:
 def width_row(n: int, w: float, eps: float) -> dict:
     params = ProlateParams(n, w)
     report = spec.transition_width(params, eps)
+    # a prior bound outside its domain is left out of the set, and printed empty
+    ints = {key: val.integer for key, val in bnd.evaluate_bound_set(n, w, eps).items()}
     return {
         "N": n,
         "W": w,
         "eps": eps,
         "width": report.width,
-        "thm1": bnd.width_bound_thm1(n, eps).integer,
-        "thm2": bnd.width_bound_thm2(n, w, eps).integer,
-        "eq2": bnd.width_bound_prior(n, w, eps, "eq2").integer if n >= 2 else None,
-        "eq3": bnd.width_bound_prior(n, w, eps, "eq3").integer,
-        "eq6": bnd.width_bound_prior(n, w, eps, "eq6").integer,
+        "thm1": ints["thm1"],
+        "thm2": ints["thm2"],
+        "eq2": ints.get("eq2_zhuwakin"),
+        "eq3": ints.get("eq3_boulsane"),
+        "eq6": ints["eq6_fst"],
     }
 
 
@@ -194,6 +196,8 @@ DEFAULT_EPS_LIST = [1e-3, 1e-8, 1e-13]
 
 def figure2_instances(n_min: int = 2**4, n_max: int = 2**12) -> list[tuple[int, float]]:
     """Powers of two n_min..n_max at the wide bandwidth W = 1/4."""
+    if n_min < 1:
+        raise ParameterError(f"n_min must be >= 1, got {n_min}")
     out = []
     n = n_min
     while n <= n_max:
@@ -206,6 +210,10 @@ def figure3_instances(
     n: int = 2**12, w_lo: float = 2**-10, w_hi: float = 2**-2, points: int = 101
 ) -> list[tuple[int, float]]:
     """Log-spaced bandwidth sweep at fixed N."""
+    if points < 0:
+        raise ParameterError(f"w_points must be >= 0, got {points}")
+    if not (0.0 < w_lo and w_hi < 0.5):
+        raise ParameterError(f"need 0 < w_min and w_max < 1/2, got w_min={w_lo}, w_max={w_hi}")
     ws = np.geomspace(w_lo, w_hi, points)
     return [(n, float(w)) for w in ws]
 

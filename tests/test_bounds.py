@@ -78,6 +78,14 @@ class TestPriorWidthBounds:
         with pytest.raises(ParameterError):
             width_bound_prior(10, 0.1, 1e-3, "eq7")
 
+    def test_eq3_negative_is_outside_domain(self):
+        # log(2NW) at 2NW = 7.84e-10 makes the verbatim value about -170
+        with pytest.raises(DomainError, match="eq3 is negative"):
+            width_bound_prior(392, 1e-12, 1e-2, "eq3")
+        values = evaluate_bound_set(392, 1e-12, 1e-2)
+        assert "eq3_boulsane" not in values
+        assert values["eq2_zhuwakin"].integer == 163
+
     def test_dominance_chain(self):
         values = [
             width_bound_thm1(1000, 1e-3).integer,
@@ -87,6 +95,22 @@ class TestPriorWidthBounds:
             width_bound_prior(1000, 0.125, 1e-3, "eq2").integer,
         ]
         assert values == [14, 23, 185, 1000, 1806]
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda: width_bound_thm1(10, 5e-324),  # 4/eps overflows
+        lambda: width_bound_thm2(10, 0.1, 5e-324),
+        lambda: width_bound_prior(10, 0.1, 5e-324, "eq2"),
+        lambda: width_bound_prior(10, 0.1, 5e-324, "eq3"),
+        lambda: width_bound_prior(10, 0.1, 5e-324, "eq6"),
+        lambda: pswf_width_bound(1e308, 1e-3),  # 100c/pi overflows
+    ],
+)
+def test_overflowing_count_bound_is_domain_error(bound):
+    with pytest.raises(DomainError, match="overflows"):
+        bound()
 
 
 class TestEigEnvelope:
@@ -217,6 +241,13 @@ class TestPSWFBounds:
         t = 2.0 / math.pi**2 * math.log(100.0 * c / math.pi + 25.0)
         expected = 10.0 * math.exp(-(k - 250 - 6) / t)
         assert env.upper == pytest.approx(expected, rel=1e-14)
+
+    def test_nonfinite_c_rejected(self):
+        for c in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                pswf_width_bound(c, 1e-3)
+            with pytest.raises(ParameterError):
+                pswf_eig_envelope(c, 0)
 
     def test_sum_bounds_domains(self):
         c = math.pi * 50.0

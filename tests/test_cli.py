@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from prolate.cli import main
+from prolate import ParameterError
+from prolate.cli import figure2_instances, figure3_instances, main
 
 
 def run(capsys, *argv):
@@ -18,6 +19,12 @@ def test_width_fig1_record(capsys):
     assert lines[0] == "N,W,eps,width,thm1,thm2,eq2,eq3,eq6"
     fields = lines[1].split(",")
     assert fields[3:] == ["12", "14", "23", "1806", "1000", "185"]
+
+
+def test_width_eq3_outside_domain_prints_empty(capsys):
+    code, out, err = run(capsys, "width", "--n", "392", "--w", "1e-12", "--eps", "0.01")
+    assert code == 0 and err == ""
+    assert out.strip().splitlines()[1].split(",")[3:] == ["0", "10", "11", "163", "", "135"]
 
 
 def test_eigs_order_one(capsys):
@@ -126,6 +133,35 @@ def test_malformed_number_exit_two(capsys, tmp_path, argv, config):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "figure2", "--n-min", "0"],
+        ["--mode", "figure2", "--n-min", "-4"],
+        ["--mode", "figure3", "--w-points", "-3"],
+        ["--mode", "figure3", "--w-min", "0"],
+        ["--mode", "figure3", "--w-min", "-0.1"],
+        ["--mode", "figure3", "--w-max", "0.5"],
+        ["--mode", "figure3", "--w-min", "nan"],
+    ],
+)
+def test_sweep_range_rejected(capsys, argv):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_sweep_instances_reject_ranges():
+    with pytest.raises(ParameterError):
+        figure2_instances(0, 16)  # doubling 0 never reaches n_max
+    with pytest.raises(ParameterError):
+        figure3_instances(64, 1e-3, 0.25, -1)
+    with pytest.raises(ParameterError):
+        figure3_instances(64, 0.0, 0.25, 5)
+
+
 @pytest.mark.parametrize("method", ["dense", "trid"])
 @pytest.mark.parametrize("krange", ["90:120", "-1:5", "9:5"])
 def test_eigs_krange_out_of_range(capsys, method, krange):
@@ -145,6 +181,22 @@ def test_pswf_matches_thm2(capsys):
     assert code == 0
     fields = out.strip().splitlines()[1].split(",")
     assert fields[3] == "23"
+
+
+@pytest.mark.parametrize("c", ["inf", "-inf", "nan", "1e308"])
+def test_pswf_nonfinite_exit_two(capsys, c):
+    code, out, err = run(capsys, "pswf", f"--c={c}", "--eps", "1e-3", "--n", "4000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["width", "bounds"])
+def test_overflowing_bound_exit_two(capsys, command):
+    code, out, err = run(capsys, command, "--n", "10", "--w", "0.1", "--eps", "5e-324")
+    assert code == 2
+    assert out == ""
+    assert err == "error: thm1 overflows in double precision\n"
 
 
 def test_pswf_proxy_widths(capsys):

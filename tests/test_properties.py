@@ -3,6 +3,7 @@
 Examples are derandomized, so every run checks the same cases.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,10 @@ from prolate import (
     ProlateParams,
     dense_spectrum,
     eig_envelope,
+    pswf_eig_envelope,
+    pswf_sum_bounds,
     pswf_width_bound,
+    sum_bounds_cor2,
     transition_width,
     tridiagonal_spectrum,
     width_bound_thm1,
@@ -67,3 +71,45 @@ def test_tridiagonal_matches_dense(n, w):
 def test_thm3_equals_thm2_at_matched_c(n, w, eps):
     assume(w < 0.5)
     assert pswf_width_bound(math.pi * n * w, eps) == width_bound_thm2(n, w, eps)
+
+
+def _assert_sums_dominate(margins: list[float], caps: list[float]):
+    """Each cap bounds the matching sum of margins, within a relative 1e-12.
+
+    ``margins[i]`` is the margin i places from the far end of the side and
+    ``caps[i]`` the sum bound covering margins[:i + 1]. Sums below 1e-290 are
+    skipped, where subnormal margins lose their relative accuracy.
+    """
+    for total, cap in zip(itertools.accumulate(margins), caps):
+        if total > 1e-290:
+            assert total <= cap * (1.0 + 1e-12), (total, cap)
+
+
+@budget(40)
+@given(n=st.integers(1, 1000), w=bandwidths)
+def test_sum_bounds_dominate_envelope_margins(n, w):
+    # a sum bound integrates its envelope terms, and e^x - 1 >= x makes the
+    # integral at least the sum of the margins it covers
+    assume(w < 0.5)
+    p = ProlateParams(n, w)
+    fl, ce = p.tbp_floor, p.tbp_ceil
+    heads = [1.0 - eig_envelope(n, w, k).lower for k in range(fl)]
+    _assert_sums_dominate(heads, [sum_bounds_cor2(n, w, K, "head") for K in range(1, fl + 1)])
+    tails = [eig_envelope(n, w, k).upper for k in range(n - 1, ce - 1, -1)]
+    caps = [sum_bounds_cor2(n, w, K, "tail") for K in range(n - 1, ce - 1, -1)]
+    _assert_sums_dominate(tails, caps)
+
+
+@budget(25)
+@given(c=_log_uniform(0.1, 2000.0))
+def test_pswf_sum_bounds_dominate_envelope_margins(c):
+    fl = math.floor(2.0 * c / math.pi)
+    heads = [1.0 - pswf_eig_envelope(c, k).lower for k in range(fl)]
+    _assert_sums_dominate(heads, [pswf_sum_bounds(c, K, "head") for K in range(1, fl + 1)])
+    # the tail runs on forever: cut it where the margins vanish (the dropped
+    # remainder is then zero in double precision) and sum from the cut inward
+    ce = math.ceil(2.0 * c / math.pi)
+    uppers = (pswf_eig_envelope(c, k).upper for k in itertools.count(ce))
+    tails = list(itertools.takewhile(lambda u: u > 0.0, uppers))[::-1]
+    caps = [pswf_sum_bounds(c, K, "tail") for K in range(ce + len(tails) - 1, ce - 1, -1)]
+    _assert_sums_dominate(tails, caps)
