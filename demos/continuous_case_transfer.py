@@ -38,7 +38,7 @@ for k, lam in proxy.entries:
 
 print("\ncontinuous transition width, bracketed by delta-adjusted counts:")
 for eps in (1e-2, 1e-3):
-    lo, hi, prx = proxy_width_interval(c, eps, 4000)
+    lo, hi, _ = proxy_width_interval(c, eps, 4000)
     bound = pswf_width_bound(c, eps)
     hi_text = hi if hi is not None else "unresolved (eps <= delta)"
     print(f"  eps = {eps:.0e}: width in [{lo}, {hi_text}], bound {bound.integer} "

@@ -166,7 +166,7 @@ def cmd_bounds(args) -> int:
 
 
 def _sweep_instance(n: int, w: float, eps_list: list[float]) -> list[dict]:
-    """Width rows for one (N, W) at several eps, from a single shared window."""
+    """Width rows for one (N, W) at several eps, from one ``transition_widths`` call."""
     rows = []
     for report in spec.transition_widths(ProlateParams(n, w), eps_list):
         eps = report.eps
@@ -300,8 +300,8 @@ def pswf_record(c: float, eps: float, n: int | None) -> dict:
         "width_hi": None,
     }
     if n is not None:
-        lo, hi, proxy = spec.proxy_width_interval(c, eps, n)
-        record.update({"N": n, "delta": proxy.delta, "width_lo": lo, "width_hi": hi})
+        lo, hi, delta = spec.proxy_width_interval(c, eps, n)
+        record.update({"N": n, "delta": delta, "width_lo": lo, "width_hi": hi})
     return record
 
 
@@ -341,8 +341,15 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------- main --
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like every other bad parameter."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_PARAMS, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prolate",
         description="DPSS eigenvalues, transition-width bounds, and structural verification",
     )

@@ -26,6 +26,11 @@ lambda and 1 - lambda stays below 1e-3 where that value exceeds 1e-14
 (worst seen 3.6e-4) and below 5e-2 where it exceeds the 1e-15 resolution
 floor (worst seen 2.0e-2).
 
+A transition width needs only the two ends of the run in (eps, 1 - eps).
+Computed lambda_k is monotone in k, so :func:`transition_widths` bisects k
+for each end inside a cover of orders around 2NW, one eigenvalue per step,
+and shares those eigenvalues across its thresholds.
+
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
 ``bounds.proxy_delta`` of them, so :func:`pswf_proxy` and
@@ -37,7 +42,9 @@ evaluated concurrently with results independent of scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,10 +219,16 @@ def _shifted_solves(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np
     return vecs.T
 
 
+@functools.lru_cache(maxsize=2)
+def _prolate_operator(params: ProlateParams) -> SymmetricToeplitz:
+    """B as a Toeplitz operator; two entries hold an instance and its complement,
+    so the one-order probes of a width count share one kernel FFT per instance."""
+    return SymmetricToeplitz(sinc_kernel(params.w, np.arange(params.n)))
+
+
 def _rayleigh_quotients(params: ProlateParams, vecs: np.ndarray) -> np.ndarray:
     """lambda = s^T (B s) per unit column s, matvec by FFT, one dot per column."""
-    op = SymmetricToeplitz(sinc_kernel(params.w, np.arange(params.n)))
-    return np.einsum("ij,ij->j", vecs, op.matmat(vecs))
+    return np.einsum("ij,ij->j", vecs, _prolate_operator(params).matmat(vecs))
 
 
 def _clamp_slice(params, kmin, kmax, lam_raw, comp_raw, via_comp) -> SpectrumSlice:
@@ -285,7 +298,11 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
 
 
 def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | None]:
-    """(width, k_first, k_last) of the run with eps < lambda < 1 - eps."""
+    """(width, k_first, k_last) of the run with eps < lambda < 1 - eps in a slice.
+
+    Counts every entry; the reference that the bisection in
+    :func:`transition_widths` is tested against.
+    """
     mask = slc.transition_mask(eps)
     idx = np.flatnonzero(mask)
     if idx.size == 0:
@@ -295,32 +312,16 @@ def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | N
     return k_last - k_first + 1, k_first, k_last
 
 
-def _transition_window(params: ProlateParams, eps: float) -> SpectrumSlice:
-    """Slice around 2NW grown until both endpoints leave (eps, 1 - eps)."""
-    n = params.n
-    center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
-    center_hi = min(max(params.tbp_ceil, 0), n - 1)
-    # guaranteed cover: the run is no wider than the thm1 width bound, and it
-    # straddles the 1/2-split indices around 2NW
-    m = width_bound_thm1(n, eps).integer + 2
-    for _ in range(64):
-        a = max(0, center_lo - m)
-        b = min(n - 1, center_hi + m)
-        slc = tridiagonal_spectrum(params, a, b)
-        left_done = a == 0 or slc.comp_at(a) <= eps
-        right_done = b == n - 1 or slc.lam_at(b) <= eps
-        if left_done and right_done:
-            return slc
-        m *= 2
-    raise NumericalError("transition window failed to close; eps may be degenerate")
-
-
 def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]:
     """Count indices with eps < lambda_k < 1 - eps, for each eps of ``eps_list``.
 
-    Exploits monotonicity of lambda_k: only a window centered at 2NW is
-    computed, grown until both endpoints are outside the transition region
-    of the smallest eps, and every count is taken from that one window.
+    Computed lambda_k is non-increasing and 1 - lambda_k non-decreasing in k,
+    so the run for one eps is [k_first, k_last], where k_first is the first
+    order with 1 - lambda > eps and k_last the last with lambda > eps. Both
+    are found by bisecting k inside a cover of orders around 2NW whose two
+    ends lie outside (eps, 1 - eps) for the smallest eps; each step computes
+    one eigenvalue. Runs are nested in eps, so the thresholds are taken from
+    largest to smallest, each search inside the bracket the previous one left.
 
     Parameters
     ----------
@@ -333,15 +334,48 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     for eps in eps_list:
         if not (0.0 < eps < 0.5):
             raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    slc = _transition_window(params, min(eps_list))
+    n = params.n
+    probes: dict[int, tuple[float, float]] = {}
+
+    def probe(k: int) -> tuple[float, float]:
+        """(lambda_k, 1 - lambda_k), one order per call, memoized for this count."""
+        if k not in probes:
+            slc = tridiagonal_spectrum(params, k, k)
+            probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
+        return probes[k]
+
+    # the cover: the run is no wider than the thm1 width bound, and it
+    # straddles the 1/2-split orders around 2NW
+    eps_min = min(eps_list)
+    center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
+    center_hi = min(max(params.tbp_ceil, 0), n - 1)
+    m = width_bound_thm1(n, eps_min).integer + 2
+    for _ in range(64):
+        a = max(0, center_lo - m)
+        b = min(n - 1, center_hi + m)
+        left_done = a == 0 or probe(a)[1] <= eps_min
+        right_done = b == n - 1 or probe(b)[0] <= eps_min
+        if left_done and right_done:
+            break
+        m *= 2
+    else:
+        raise NumericalError("transition window failed to close; eps may be degenerate")
+
+    # first: first order with 1 - lambda > eps; stop: first with lambda <= eps.
+    # Both move outward as eps falls, so each search starts where the last ended
+    runs: dict[float, tuple[int, int]] = {}
+    first, stop = b + 1, a
+    for eps in sorted(set(eps_list), reverse=True):
+        first = a + bisect_left(range(a, first), True, key=lambda k: probe(k)[1] > eps)
+        stop += bisect_left(range(stop, b + 1), True, key=lambda k: probe(k)[0] <= eps)
+        runs[eps] = (first, stop - 1)
     reports = []
     for eps in eps_list:
-        width, k_first, k_last = _count_run(slc, eps)
-        advisory = eps <= ADVISORY_EPS
-        if k_first is not None:
-            sel = slice(slc.index_of(k_first), slc.index_of(k_last) + 1)
-            advisory = advisory or bool(slc.saturated[sel].any())
-        reports.append(TransitionReport(params, eps, width, k_first, k_last, advisory))
+        k_first, k_last = runs[eps]
+        width = max(k_last - k_first + 1, 0)
+        if not width:
+            k_first = k_last = None
+        reports.append(TransitionReport(params, eps, width, k_first, k_last, eps <= ADVISORY_EPS))
     return reports
 
 
@@ -408,26 +442,23 @@ def pswf_proxy(c: float, kmin: int, kmax: int, n: int) -> PSWFProxy:
     return PSWFProxy(**vars(slc), c=float(c), delta=delta)
 
 
-def proxy_width_interval(
-    c: float, eps: float, n: int
-) -> tuple[int | None, int | None, PSWFProxy]:
+def proxy_width_interval(c: float, eps: float, n: int) -> tuple[int | None, int | None, float]:
     """Bracket the continuous transition width using a proxy spectrum.
 
-    Returns ``(lo, hi, proxy)`` where ``lo`` counts proxy eigenvalues with
+    Returns ``(lo, hi, delta)`` where ``delta`` is the proxy radius
+    ``bounds.proxy_delta(c, n)``, ``lo`` counts proxy eigenvalues with
     eps + delta < lambda < 1 - eps - delta (a certified lower estimate of the
     true width) and ``hi`` counts with thresholds loosened by delta (an upper
     estimate). ``hi`` is None when eps <= delta, in which case no upper
     estimate is certifiable. ``lo`` is None in the degenerate case
-    eps + delta >= 1/2.
+    eps + delta >= 1/2. Both counts come from one :func:`transition_widths`
+    call on the proxy instance.
     """
     if not (0.0 < eps < 0.5):
         raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
     delta = proxy_delta(c, n)
     eps_lo, eps_hi = eps + delta, eps - delta
-    # the window must close at the smallest threshold that is counted
     counted = [thr for thr in (eps_lo, eps_hi) if 0.0 < thr < 0.5]
     params = ProlateParams(n, c / (math.pi * n))
-    slc = _transition_window(params, min(counted, default=eps))
-    lo = _count_run(slc, eps_lo)[0] if eps_lo < 0.5 else None
-    hi = _count_run(slc, eps_hi)[0] if eps_hi > 0.0 else None
-    return lo, hi, PSWFProxy(**vars(slc), c=float(c), delta=delta)
+    widths = {r.eps: r.width for r in transition_widths(params, counted)} if counted else {}
+    return widths.get(eps_lo), widths.get(eps_hi), delta

@@ -279,6 +279,22 @@ def test_unknown_flag_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["pswf", "--c", "-inf", "--eps", "1e-3"], "argument --c: expected one argument"),
+        (["width", "--n", "64", "--w", "0.1", "--eps", "1e-2", "--nope"], "unrecognized"),
+        (["width", "--n", "64", "--w", "0.1"], "required: --eps"),
+    ],
+)
+def test_usage_error_one_line(capsys, argv, reason):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_unwritable_output_exit_three(capsys, tmp_path):
     target = tmp_path / "missing" / "out.csv"
     code, _, err = run(

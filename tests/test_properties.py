@@ -19,10 +19,13 @@ from prolate import (
     pswf_width_bound,
     sum_bounds_cor2,
     transition_width,
+    transition_widths,
     tridiagonal_spectrum,
     width_bound_thm1,
     width_bound_thm2,
 )
+from prolate.kernel import RESOLUTION_FLOOR
+from prolate.spectrum import _count_run
 
 
 def _log_uniform(lo: float, hi: float):
@@ -45,6 +48,21 @@ def test_width_within_new_bounds(n, w, eps):
     report = transition_width(ProlateParams(n, w), eps)
     cap = min(width_bound_thm1(n, eps).integer, width_bound_thm2(n, w, eps).integer)
     assert report.width <= cap + int(report.advisory), (report, cap)
+
+
+@budget(30)
+@given(n=st.integers(1, 2048), w=bandwidths, eps_list=st.lists(thresholds, min_size=3, max_size=3))
+def test_transition_widths_match_full_spectrum_count(n, w, eps_list):
+    # bisection over k against counting the whole computed spectrum, which
+    # is right only if computed lambda is monotone where it is resolved
+    assume(w < 0.5)
+    p = ProlateParams(n, w)
+    full = tridiagonal_spectrum(p, 0, n - 1)
+    resolved = (full.lam > RESOLUTION_FLOOR) & (full.comp > RESOLUTION_FLOOR)
+    assert np.all(np.diff(full.lam[resolved]) <= 0.0)
+    for report in transition_widths(p, eps_list):
+        run = (report.width, report.k_first, report.k_last)
+        assert run == _count_run(full, report.eps), (report, run)
 
 
 @budget(25)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -233,8 +235,8 @@ def test_transition_width_advisory_regime():
 @pytest.mark.parametrize("w", [0.01, 0.05, 0.125])
 @pytest.mark.parametrize("n", [64, 257, 1000])
 def test_transition_widths_shared_window(n, w):
-    # one shared window gives the per-eps reports, and the counts agree with
-    # scipy's independent DPSS concentration ratios
+    # one call gives the per-eps reports, and the counts agree with scipy's
+    # independent DPSS concentration ratios
     from scipy.signal.windows import dpss
 
     p = ProlateParams(n, w)
@@ -257,6 +259,30 @@ def test_transition_width_at_two_pow_16():
     kmax = p.tbp_ceil + width_bound_thm1(n, eps).integer + 1
     _, ratios = dpss(n, n * w, kmax, return_ratios=True)
     assert transition_width(p, eps).width == int(np.sum((ratios > eps) & (ratios < 1 - eps))) == 8
+
+
+def test_transition_width_probe_budget(monkeypatch):
+    # each bisection step computes one order, so a width over the thm1 cover
+    # [a, b] costs its two end probes plus two searches of ceil(log2(b - a + 2))
+    import prolate.spectrum as spectrum
+
+    calls = []
+    compute = spectrum.tridiagonal_spectrum
+
+    def counting(params, kmin, kmax):
+        calls.append((kmin, kmax))
+        return compute(params, kmin, kmax)
+
+    monkeypatch.setattr(spectrum, "tridiagonal_spectrum", counting)
+    n, eps = 65536, 1e-13
+    p = ProlateParams(n, 0.25)
+    assert transition_width(p, eps).width == 68
+    assert all(kmin == kmax for kmin, kmax in calls), calls
+    m = width_bound_thm1(n, eps).integer + 2
+    a, b = p.tbp_floor - 1 - m, p.tbp_ceil + m
+    budget = 2 + 2 * math.ceil(math.log2(b - a + 2))
+    assert budget == 18
+    assert len(calls) <= budget, calls
 
 
 def test_transition_widths_eps_validation():
