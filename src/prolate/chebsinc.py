@@ -11,7 +11,9 @@ and every derivative of the sinc kernel obeys
 
 Chaining the two certifies, column by column, a rank-k approximation of the
 near boundary block (rows -L1..-1 with L1 = floor(1/(4W))), whose Frobenius
-error stays below sqrt(5600/pi) * (pi/48)^k.
+error stays below sqrt(5600/pi) * (pi/48)^k. The near block is part of the
+W < 1/4 partition, and :func:`lowrank_block_approx` raises DomainError for
+wider bands.
 
 Interpolants are evaluated in barycentric form for stability; the monomial
 factorization is materialized only to exhibit the rank, with k capped at 8
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement import partition_block_bound
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .kernel import ProlateParams, near_block_rows, sinc_kernel
 
 __all__ = [
@@ -139,22 +141,21 @@ def interpolation_error_bound(w: float, n: int, a: float, b: float, k: int) -> f
 
 @dataclass
 class LowRankBlockApprox:
-    """Rank-k surrogate of the near boundary block with its certified error."""
+    """Rank-k surrogate of the near boundary block with its certified error.
 
-    applicable: bool
-    reason: str
-    params: ProlateParams | None = None
-    rank: int | None = None
-    l1: int | None = None
-    matrix: np.ndarray | None = None
-    left_factor: np.ndarray | None = None
-    right_factor: np.ndarray | None = None
-    frobenius_error: float | None = None
-    bound: float | None = None
+    ``left_factor`` and ``right_factor`` are None above ``MONOMIAL_RANK_CAP``.
+    """
+
+    l1: int
+    matrix: np.ndarray
+    left_factor: np.ndarray | None
+    right_factor: np.ndarray | None
+    frobenius_error: float
+    bound: float
 
     @property
     def passed(self) -> bool:
-        return self.applicable and self.frobenius_error <= self.bound
+        return self.frobenius_error <= self.bound
 
 
 def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
@@ -165,12 +166,13 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
     serve every column. The product of the monomial factor (powers of l)
     with the coefficient factor exhibits rank <= k; the Frobenius error is
     measured against the barycentric evaluation and compared with
-    sqrt(5600/pi) * (pi/48)^k.
+    sqrt(5600/pi) * (pi/48)^k. Defined only for W < 1/4; wider bands raise
+    DomainError.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if params.w >= 0.25:
-        return LowRankBlockApprox(False, "not applicable: W >= 1/4")
+        raise DomainError(f"near-block approximation needs W < 1/4, got W = {params.w}")
     l1 = near_block_rows(params.w)
     ells = np.arange(-l1, 0, dtype=np.float64)
     cols = np.arange(params.n, dtype=np.float64)
@@ -193,10 +195,6 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
     bound = partition_block_bound(k)
     left = np.vander(ells, k, increasing=True) if monomial else None
     return LowRankBlockApprox(
-        applicable=True,
-        reason="",
-        params=params,
-        rank=k,
         l1=l1,
         matrix=left @ coefs if monomial else approx,
         left_factor=left,

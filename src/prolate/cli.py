@@ -49,6 +49,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _write(text: str, out_path: str | None) -> None:
+    """Write ``text`` to stdout, or to ``out_path`` when one is given."""
+    if out_path is None:
+        sys.stdout.write(text)
+    else:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+
+
 def _emit(rows: list[dict], header: str, fmt: str, out_path: str | None) -> None:
     cols = header.split(",")
     if fmt == "csv":
@@ -57,11 +66,7 @@ def _emit(rows: list[dict], header: str, fmt: str, out_path: str | None) -> None
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps([{c: row[c] for c in cols} for row in rows], indent=2) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    _write(text, out_path)
 
 
 # ------------------------------------------------------------------- eigs --
@@ -329,12 +334,7 @@ def cmd_verify(args) -> int:
         "failures": failures,
         "passed": not failures,
     }
-    text = json.dumps(summary, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write(json.dumps(summary, indent=2) + "\n", args.out)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -397,10 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pswf", help="continuous-case bound and proxy widths")
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--out", default=None, metavar="PATH")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    common(p, n=True, eps="req")
     p.set_defaults(func=cmd_pswf)
 
     p = sub.add_parser("verify", help="run invariant suites")

@@ -12,7 +12,8 @@ the spectra of C and D are separated, Zolotarev numbers force geometric decay
 of the singular values of X_L; this module builds the objects, evaluates the
 Zolotarev bounds (including the Mobius normalization onto symmetric
 intervals), and verifies the decay, the Loewner domination, and the
-bandwidth-adapted three-block partition.
+bandwidth-adapted three-block partition. The partition exists only for
+W < 1/4, and :func:`partition_check` raises DomainError for wider bands.
 
 Checks run densely at desk scale only; there is no iterative SVD path.
 """
@@ -321,8 +322,6 @@ def loewner_min_eig(params: ProlateParams, L: int) -> float:
 class SvDecayReport:
     """Measured odd-index singular values against the Zolotarev-driven bound."""
 
-    params: ProlateParams
-    L: int
     spectral_norm: float
     rows: list  # (k, sigma_{2k+1}, bound)
     passed: bool
@@ -342,30 +341,26 @@ def sv_decay_check(params: ProlateParams, L: int, k_max: int) -> SvDecayReport:
         bound = 2.0 * math.exp(-math.pi**2 * k / rate)
         rows.append((k, sigma, bound))
         ok = ok and sigma <= bound + 1e-12
-    return SvDecayReport(params, L, float(sv[0]), rows, ok)
+    return SvDecayReport(float(sv[0]), rows, ok)
 
 
 @dataclass
 class PartitionReport:
     """Three-block singular-value analysis of X_L for small bandwidth."""
 
-    applicable: bool
-    reason: str
-    params: ProlateParams | None = None
-    L: int | None = None
-    l1: int | None = None
-    sv_full: np.ndarray | None = None
-    sv_outer: np.ndarray | None = None
-    sv_left: np.ndarray | None = None
-    sv_right: np.ndarray | None = None
-    outer_ok: bool = False
-    block_ok: bool = False
-    mirror_ok: bool = False
-    weyl_ok: bool = False
+    l1: int
+    sv_full: np.ndarray
+    sv_outer: np.ndarray
+    sv_left: np.ndarray
+    sv_right: np.ndarray
+    outer_ok: bool
+    block_ok: bool
+    mirror_ok: bool
+    weyl_ok: bool
 
     @property
     def passed(self) -> bool:
-        return self.applicable and self.outer_ok and self.block_ok and self.mirror_ok and self.weyl_ok
+        return self.outer_ok and self.block_ok and self.mirror_ok and self.weyl_ok
 
 
 def _sigma(sv: np.ndarray, j: int) -> float:
@@ -384,11 +379,11 @@ def partition_check(params: ProlateParams, L: int, k0_max: int, k_max: int) -> P
     (index reversal maps one onto the other); (d) the Weyl combination
     sigma_{2k0+2k+1}(X_L)^2 <= sum of the three block terms.
 
-    Applicable only for W < 1/4; wider bands report not-applicable since the
+    Defined only for W < 1/4; wider bands raise DomainError, since the
     bandwidth-free bound already dominates there.
     """
     if params.w >= 0.25:
-        return PartitionReport(False, "not applicable: W >= 1/4, bandwidth-free path dominates")
+        raise DomainError(f"partition check needs W < 1/4, got W = {params.w}")
     l1 = near_block_rows(params.w)
     if L < l1 + 1:
         raise ParameterError(f"L must be >= L1 + 1 = {l1 + 1}, got {L}")
@@ -428,10 +423,6 @@ def partition_check(params: ProlateParams, L: int, k0_max: int, k_max: int) -> P
             )
             weyl_ok = weyl_ok and lhs <= rhs + 1e-12
     return PartitionReport(
-        applicable=True,
-        reason="",
-        params=params,
-        L=L,
         l1=l1,
         sv_full=sv_full,
         sv_outer=sv_outer,

@@ -40,7 +40,7 @@ __all__ = [
 #: default cap on dense N x N materialization (override with PROLATE_DENSE_CAP)
 DENSE_CAP_DEFAULT = 4096
 
-#: reported eigenvalue magnitudes below this are considered saturated
+#: eigenvalue resolution: a lambda or 1 - lambda below this is not resolved
 RESOLUTION_FLOOR = 1e-15
 
 
@@ -249,7 +249,6 @@ class SymmetricToeplitz:
         if col.ndim != 1 or col.size == 0:
             raise ParameterError("first_column must be a non-empty 1-D array")
         self.n = col.size
-        self.first_column = col
         m = _embed_size(self.n)
         c = np.zeros(m)
         c[: self.n] = col
@@ -257,10 +256,6 @@ class SymmetricToeplitz:
             c[m - self.n + 1 :] = col[1:][::-1]
         self._m = m
         self._kernel_fft = np.fft.rfft(c)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
 
     def matmat(self, xs) -> np.ndarray:
         """Apply to each column of ``xs`` (N x K), returning an N x K array."""

@@ -35,9 +35,6 @@ The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
 ``bounds.proxy_delta`` of them, so :func:`pswf_proxy` and
 :func:`proxy_width_interval` are spectrum computations on that instance.
-
-Per-index eigenpair computations are independent: disjoint k-ranges may be
-evaluated concurrently with results independent of scheduling.
 """
 
 from __future__ import annotations
@@ -55,13 +52,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .bounds import proxy_delta, width_bound_thm1
 from .errors import NumericalError, ParameterError
-from .kernel import (
-    RESOLUTION_FLOOR,
-    ProlateParams,
-    SymmetricToeplitz,
-    build_prolate_matrix,
-    sinc_kernel,
-)
+from .kernel import ProlateParams, SymmetricToeplitz, build_prolate_matrix, sinc_kernel
 
 __all__ = [
     "SpectrumSlice",
@@ -91,8 +82,6 @@ class SpectrumSlice:
     ``lam`` holds lambda_k clamped to [0, 1]; ``comp`` holds 1 - lambda_k,
     computed directly for orders below 2NW (exact reflection through the
     complementary-bandwidth instance, not the rounded difference).
-    ``saturated`` marks entries whose lambda or 1 - lambda fell below the
-    1e-15 resolution floor.
     """
 
     params: ProlateParams
@@ -100,27 +89,16 @@ class SpectrumSlice:
     kmax: int
     lam: np.ndarray
     comp: np.ndarray
-    saturated: np.ndarray
     via_complement: np.ndarray = field(repr=False)
 
     @property
     def entries(self) -> list[tuple[int, float]]:
         return [(self.kmin + i, float(v)) for i, v in enumerate(self.lam)]
 
-    def index_of(self, k: int) -> int:
+    def lam_at(self, k: int) -> float:
         if not (self.kmin <= k <= self.kmax):
             raise ParameterError(f"k = {k} outside slice range [{self.kmin}, {self.kmax}]")
-        return k - self.kmin
-
-    def lam_at(self, k: int) -> float:
-        return float(self.lam[self.index_of(k)])
-
-    def comp_at(self, k: int) -> float:
-        return float(self.comp[self.index_of(k)])
-
-    def transition_mask(self, eps: float) -> np.ndarray:
-        """Entries with eps < lambda < 1 - eps, using the precise complement."""
-        return (self.lam > eps) & (self.comp > eps)
+        return float(self.lam[k - self.kmin])
 
     def sum_lambdas(self) -> float:
         """Compensated sum of lambda over the slice.
@@ -131,12 +109,6 @@ class SpectrumSlice:
         m = self.via_complement
         head = int(np.count_nonzero(m)) - math.fsum(self.comp[m].tolist())
         return head + math.fsum(self.lam[~m].tolist())
-
-    def sum_complements(self) -> float:
-        """Compensated sum of 1 - lambda over the slice."""
-        m = self.via_complement
-        direct = int(np.count_nonzero(~m)) - math.fsum(self.lam[~m].tolist())
-        return direct + math.fsum(self.comp[m].tolist())
 
 
 @dataclass(frozen=True)
@@ -231,29 +203,13 @@ def _rayleigh_quotients(params: ProlateParams, vecs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", vecs, _prolate_operator(params).matmat(vecs))
 
 
-def _clamp_slice(params, kmin, kmax, lam_raw, comp_raw, via_comp) -> SpectrumSlice:
-    saturated = (np.abs(lam_raw) < RESOLUTION_FLOOR) | (np.abs(comp_raw) < RESOLUTION_FLOOR)
-    return SpectrumSlice(
-        params=params,
-        kmin=kmin,
-        kmax=kmax,
-        lam=np.clip(lam_raw, 0.0, 1.0),
-        comp=np.clip(comp_raw, 0.0, 1.0),
-        saturated=saturated,
-        via_complement=via_comp,
-    )
-
-
 def dense_spectrum(params: ProlateParams) -> SpectrumSlice:
     """Full spectrum by a dense symmetric eigensolver, sorted descending.
 
     Oracle route; requires ``params.n`` within the dense cap.
     """
-    matrix = build_prolate_matrix(params)
-    lam = np.linalg.eigvalsh(matrix)[::-1]
-    comp = 1.0 - lam
-    via = np.zeros(lam.shape, dtype=bool)
-    return _clamp_slice(params, 0, params.n - 1, lam, comp, via)
+    lam = np.clip(np.linalg.eigvalsh(build_prolate_matrix(params))[::-1], 0.0, 1.0)
+    return SpectrumSlice(params, 0, params.n - 1, lam, 1.0 - lam, np.zeros(lam.shape, dtype=bool))
 
 
 def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> SpectrumSlice:
@@ -290,11 +246,11 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
         vals = _rayleigh_quotients(inst, _concentration_eigenvectors(inst, jlo, jhi))
         sel = slice(lo - kmin, hi - kmin + 1)
         own, other = (comp, lam) if reflected else (lam, comp)
-        own[sel] = vals[::-1] if reflected else vals
+        own[sel] = np.clip(vals[::-1] if reflected else vals, 0.0, 1.0)
         other[sel] = 1.0 - own[sel]
         via[sel] = reflected
 
-    return _clamp_slice(params, kmin, kmax, lam, comp, via)
+    return SpectrumSlice(params, kmin, kmax, lam, comp, via)
 
 
 def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | None]:
@@ -303,8 +259,7 @@ def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | N
     Counts every entry; the reference that the bisection in
     :func:`transition_widths` is tested against.
     """
-    mask = slc.transition_mask(eps)
-    idx = np.flatnonzero(mask)
+    idx = np.flatnonzero((slc.lam > eps) & (slc.comp > eps))
     if idx.size == 0:
         return 0, None, None
     k_first = slc.kmin + int(idx[0])
@@ -329,6 +284,7 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     eps_list : sequence of float
         Non-empty; each threshold in (0, 1/2). Reports follow its order.
     """
+    eps_list = [float(eps) for eps in eps_list]
     if not eps_list:
         raise ParameterError("need at least one eps")
     for eps in eps_list:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prolate import (
+    DomainError,
     ParameterError,
     ProlateParams,
     cheb_interpolate,
@@ -136,7 +137,6 @@ class TestChebInterpolant:
 class TestLowRankBlock:
     def test_rank_one(self):
         rep = lowrank_block_approx(ProlateParams(64, 1.0 / 32.0), 1)
-        assert rep.applicable
         assert np.linalg.matrix_rank(rep.matrix, tol=1e-12) <= 1
 
     def test_frobenius_bound_oracle(self):
@@ -181,7 +181,7 @@ class TestLowRankBlock:
                 assert rep.l1 == l1
                 assert np.max(np.abs(rep.matrix - bary)) <= 1e-8
 
-    def test_wide_band_marker(self):
-        rep = lowrank_block_approx(ProlateParams(64, 0.3), 3)
-        assert not rep.applicable
-        assert not rep.passed
+    def test_wide_band_raises(self):
+        for w in (0.25, 0.3):
+            with pytest.raises(DomainError):
+                lowrank_block_approx(ProlateParams(64, w), 3)

@@ -1,0 +1,22 @@
+"""Every narrative script in ``demos/`` runs to completion in-process.
+
+A demo reads result fields by name, so a renamed or deleted field fails
+here rather than only when someone runs the script by hand.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

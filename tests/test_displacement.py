@@ -150,7 +150,6 @@ def report():
 
 class TestPartition:
     def test_applicable_and_l1(self, report):
-        assert report.applicable
         assert report.l1 == 16
 
     def test_mirror_blocks_share_singular_values(self, report):
@@ -176,10 +175,10 @@ class TestPartition:
     def test_passed(self, report):
         assert report.passed
 
-    def test_not_applicable_for_wide_band(self):
-        report = partition_check(ProlateParams(64, 0.3), 8, 2, 2)
-        assert not report.applicable
-        assert "not applicable" in report.reason
+    def test_wide_band_raises(self):
+        for w in (0.25, 0.3):
+            with pytest.raises(DomainError):
+                partition_check(ProlateParams(64, w), 8, 2, 2)
 
     def test_l_too_small(self):
         from prolate import ParameterError

