@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .displacement import partition_block_bound
-from .errors import DomainError, ParameterError
+from .displacement import XL_ENTRY_CAP, partition_block_bound
+from .errors import CapacityError, DomainError, ParameterError
 from .kernel import ProlateParams, near_block_rows, sinc_kernel
 
 __all__ = [
@@ -167,13 +167,16 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
     with the coefficient factor exhibits rank <= k; the Frobenius error is
     measured against the barycentric evaluation and compared with
     sqrt(5600/pi) * (pi/48)^k. Defined only for W < 1/4; wider bands raise
-    DomainError.
+    DomainError. A block of more than ``XL_ENTRY_CAP`` entries raises
+    CapacityError before anything is allocated.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if params.w >= 0.25:
         raise DomainError(f"near-block approximation needs W < 1/4, got W = {params.w}")
     l1 = near_block_rows(params.w)
+    if l1 * params.n > XL_ENTRY_CAP:
+        raise CapacityError(f"L1*N = {l1 * params.n} exceeds entry cap {XL_ENTRY_CAP}")
     ells = np.arange(-l1, 0, dtype=np.float64)
     cols = np.arange(params.n, dtype=np.float64)
     block = sinc_kernel(params.w, ells[:, None] - cols[None, :])

@@ -1,9 +1,10 @@
 """Command-line interface: eigs, width, bounds, sweep, pswf, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 bad parameters, 3 I/O
-failure. CSV schemas are stable: headers are emitted exactly as documented
-and floats are printed with 17 significant digits in deterministic row
-order. JSON output mirrors the CSV fields one object per row.
+failure, 4 numerical failure (an iterative solver did not converge). CSV
+schemas are stable: headers are emitted exactly as documented and floats are
+printed with 17 significant digits in deterministic row order. JSON output
+mirrors the CSV fields one object per row.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_IO = 3
+EXIT_NUMERICAL = 4
 
 EIGS_HEADER = "k,lambda,lower,upper,in_envelope"
 WIDTH_HEADER = "N,W,eps,width,thm1,thm2,eq2,eq3,eq6"
@@ -420,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParameterError, DomainError, CapacityError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_BAD_PARAMS
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,11 +12,15 @@ of the prolate matrix:
       T[n, n+1] = (n+1)*(N-1-n)/2,
 
   so the eigenvector for concentration order k is the T-eigenvector at the
-  (k+1)-th largest T-eigenvalue. Bisection locates that eigenvalue only
-  coarsely, to a small fraction of the T-eigenvalue gap; a few shifted
-  tridiagonal solves (inverse iteration from a fixed-seed Gaussian start)
-  then polish the eigenvector, and lambda_k is its Rayleigh quotient against
-  B, formed with a fast Toeplitz matvec and one dot product per column.
+  (k+1)-th largest T-eigenvalue. T is persymmetric, so that eigenvector is
+  even or odd about the middle as k is, and all the work is done in two
+  tridiagonal parity blocks of about N/2: order k is the (k//2)-th largest
+  eigenvalue of block k % 2. Bisection in the block locates that eigenvalue
+  only coarsely, to a small fraction of the gap to its same-parity
+  neighbours; a few shifted solves with the block (inverse iteration from a
+  fixed-seed Gaussian start) then polish the half vector, which is mirrored
+  back to length N. lambda_k is its Rayleigh quotient against B, formed with
+  a fast Toeplitz matvec and one dot product per column.
 
 Eigenvalues above 1/2 are obtained through the complementary bandwidth:
 ``1 - lambda_k(N, W) = lambda_{N-1-k}(N, 1/2-W)``, so small values of
@@ -135,46 +139,128 @@ def _tridiag_bands(n: int, w: float) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
+def _parity_block(
+    diag: np.ndarray, off: np.ndarray, parity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of T restricted to vectors of one parity (0 even, 1 odd).
+
+    T is persymmetric, so T maps vectors with v[n-1-i] = (-1)**parity v[i]
+    to themselves. On such a vector, the first m = n // 2 rows (and, for odd
+    n, the middle row) act on the first half, through a tridiagonal of size
+    ceil(n/2) (even) or n // 2 (odd):
+
+    * even n: the last row meets its own mirror image, so its diagonal gains
+      +off[m-1] (even) or -off[m-1] (odd);
+    * odd n, even parity: the middle component couples to both halves; in
+      the variable middle/sqrt(2) the block is symmetric with its last
+      off-diagonal scaled by sqrt(2);
+    * odd n, odd parity: the middle component is 0 and the block is the
+      leading m x m part of T.
+    """
+    m = diag.size // 2
+    if diag.size % 2 == 0:
+        d = diag[:m].copy()
+        d[-1] += off[m - 1] if parity == 0 else -off[m - 1]
+        return d, off[: m - 1]
+    if parity == 1:
+        return diag[:m], off[: m - 1]
+    e = off[:m].copy()
+    if m:
+        e[-1] *= math.sqrt(2.0)
+    return diag[: m + 1], e
+
+
+def _mirror(block: np.ndarray, n: int, parity: int) -> np.ndarray:
+    """Unit length-n vectors from parity-block vectors (columns of ``block``).
+
+    The first half is copied and reflected with the parity's sign; for odd n
+    the middle entry is sqrt(2) times the even block's last (see
+    :func:`_parity_block`), or 0 for the odd block.
+    """
+    m = n // 2
+    full = np.empty((n, block.shape[1]))
+    full[:m] = block[:m]
+    full[n - m :] = block[:m][::-1] if parity == 0 else -block[:m][::-1]
+    if n % 2:
+        full[m] = math.sqrt(2.0) * block[m] if parity == 0 else 0.0
+    return full / np.linalg.norm(full, axis=0)
+
+
 def _concentration_eigenvectors(params: ProlateParams, klo: int, khi: int) -> np.ndarray:
-    """T-eigenvectors for concentration orders klo..khi, as columns in k order."""
+    """T-eigenvectors for concentration orders klo..khi, as columns in k order.
+
+    Order k has parity (-1)**k and belongs to the (k // 2)-th largest
+    eigenvalue of the parity block k % 2, so each order is bisected for and
+    solved in a tridiagonal of about n/2.
+    """
     n = params.n
-    if n == 1:  # T is 1 x 1, and dgtsv needs n >= 2
-        return np.ones((1, 1))
     diag, off = _tridiag_bands(n, params.w)
-    lo, hi = n - 1 - khi, n - 1 - klo
-    # coarse shifts: the T-eigenvalue gaps are smallest near order 2NW, where
-    # they are about 0.11 * n * sin(2 pi W) up to n = 2**16, so each shift
-    # misses its eigenvalue by under 1e-4 of the gap
+    # coarse shifts: a block's eigenvalues are those of orders k and k + 2, whose
+    # gaps are smallest near order 2NW, where they are at least 0.23 * n *
+    # sin(2 pi W) up to n = 2**16 (twice the gap between adjacent orders), so
+    # each shift misses its eigenvalue by under 1e-4 of the gap to the
+    # nearest other eigenvalue of its block
     tol = n * math.sin(2.0 * math.pi * params.w) / 2.0**16
-    try:
-        shifts = eigvalsh_tridiagonal(
-            diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol
-        )
-    except LinAlgError as exc:
-        raise NumericalError(
-            f"tridiagonal eigensolver failed for orders {klo}..{khi} "
-            f"(n={n}, w={params.w}): {exc}"
-        ) from exc
-    # ascending T order maps to descending k; flip so column j is order klo + j
-    shifts = shifts[::-1]
+    vecs = np.empty((n, khi - klo + 1))
+    for parity in (0, 1):
+        first = klo + (klo + parity) % 2  # first order >= klo of this parity
+        if first > khi:
+            continue
+        try:
+            block = _block_eigenvectors(
+                *_parity_block(diag, off, parity), first // 2, (khi - parity) // 2, tol
+            )
+        except LinAlgError as exc:
+            raise NumericalError(
+                f"tridiagonal eigensolver failed for orders {klo}..{khi} "
+                f"(n={n}, w={params.w}): {exc}"
+            ) from exc
+        vecs[:, first - klo :: 2] = _mirror(block, n, parity)
+    return vecs
+
+
+def _block_eigenvectors(
+    diag: np.ndarray, off: np.ndarray, jlo: int, jhi: int, tol: float
+) -> np.ndarray:
+    """Eigenvectors for the jlo-th..jhi-th largest eigenvalues of one block, as
+    columns in descending eigenvalue order."""
+    size = diag.size
+    if size == 1:
+        return np.ones((1, 1))
+    # ascending block order runs against k; flip so column j is index jlo + j
+    lo, hi = size - 1 - jhi, size - 1 - jlo
+    shifts = eigvalsh_tridiagonal(
+        diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol
+    )[::-1]
     try:
         return _shifted_solves(diag, off, shifts)
     except NumericalError:
-        # where cos(2 pi W) rounds to +-1 (W within about 1e-9 of 0 or 1/2), T
-        # has exactly representable eigenvalues that bisection can return to
-        # the last bit, making T - shift singular; a few ulps off, it is not
-        return _shifted_solves(diag, off, shifts + 4.0 * np.spacing(np.abs(shifts)))
+        # where cos(2 pi W) rounds to +-1 (W within about 1e-9 of 0 or 1/2), the
+        # block has exactly representable eigenvalues (0 among them) that
+        # bisection can return to the last bit, making block - shift singular.
+        # A few ulps of the block's norm off, it is not, and a shift is no more
+        # accurate than that anyway. Only a shift that fails moves, so that no
+        # other shift is moved onto its eigenvalue
+        nudge = 4.0 * np.spacing(np.abs(diag).max() + 2.0 * np.abs(off).max())
+        cols = []
+        for shift in shifts[:, None]:
+            try:
+                cols.append(_shifted_solves(diag, off, shift))
+            except NumericalError:
+                cols.append(_shifted_solves(diag, off, shift + nudge))
+        return np.hstack(cols)
 
 
 def _shifted_solves(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Unit eigenvectors of the tridiagonal (off, diag, off) nearest each shift.
 
     Inverse iteration: ``POLISH_SOLVES`` solves with T - shift, normalized after
-    each, from one fixed-seed Gaussian start (which, unlike an even-symmetric
-    one, has components of both parities), so a shift always yields the same
+    each, from one fixed-seed Gaussian start, so a shift always yields the same
     vector. Each solve shrinks the other components by the ratio of the shift
-    error to the eigenvalue gap; the gaps are wide enough that no
-    re-orthogonalization is done. Columns follow ``shifts``.
+    error to the eigenvalue gap. The matrices are the parity blocks of T,
+    whose neighbouring eigenvalues are two concentration orders apart, so the
+    gaps are wide enough that no re-orthogonalization is done. Columns follow
+    ``shifts``.
     """
     start = np.random.default_rng(0).standard_normal(diag.size)
     vecs = np.empty((shifts.size, diag.size))

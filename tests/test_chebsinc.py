@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prolate import (
+    CapacityError,
     DomainError,
     ParameterError,
     ProlateParams,
@@ -180,6 +181,19 @@ class TestLowRankBlock:
                         bary[:, n] = cheb_interpolate(p.w, n, -float(l1), -1.0, k)(ells)
                 assert rep.l1 == l1
                 assert np.max(np.abs(rep.matrix - bary)) <= 1e-8
+
+    def test_entry_cap_raises_before_allocating(self):
+        # L1 = 2.5e8 rows at W = 1e-9: the L1 x N block would take gigabytes
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                lowrank_block_approx(ProlateParams(64, 1e-9), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_wide_band_raises(self):
         for w in (0.25, 0.3):

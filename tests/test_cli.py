@@ -295,6 +295,21 @@ def test_usage_error_one_line(capsys, argv, reason):
     assert reason in err
 
 
+def test_numerical_error_exit_four(capsys, monkeypatch):
+    # a solver failure is not a bad parameter: its own exit code, one line
+    import prolate.spectrum as spectrum
+    from prolate import NumericalError
+
+    def fail(params, kmin, kmax):
+        raise NumericalError("probe did not converge")
+
+    monkeypatch.setattr(spectrum, "tridiagonal_spectrum", fail)
+    code, out, err = run(capsys, "width", "--n", "64", "--w", "0.1", "--eps", "1e-2")
+    assert code == 4
+    assert out == ""
+    assert err == "error: probe did not converge\n"
+
+
 def test_unwritable_output_exit_three(capsys, tmp_path):
     target = tmp_path / "missing" / "out.csv"
     code, _, err = run(

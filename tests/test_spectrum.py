@@ -143,6 +143,63 @@ def test_eigenvectors_match_lapack(w):
     assert np.max(np.abs(got[::-1] - got * parity)) <= 1e-10
 
 
+def _dense_t(n, w):
+    from prolate.spectrum import _tridiag_bands
+
+    diag, off = _tridiag_bands(n, w)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("n, orders", [(1, [0]), (2, [0, 1]), (3, [1])])
+def test_parity_blocks_of_size_one_need_no_solve(monkeypatch, n, orders):
+    # n = 1 and n = 2 have only 1 x 1 blocks, and n = 3 an odd block of size 1
+    # (order 1): those vectors are mirrored unit vectors, with no bisection or solve
+    import prolate.spectrum as spectrum
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1 x 1 parity block reached a solver")
+
+    monkeypatch.setattr(spectrum, "eigvalsh_tridiagonal", refuse)
+    monkeypatch.setattr(spectrum, "_shifted_solves", refuse)
+    _, ref = np.linalg.eigh(_dense_t(n, 0.2))
+    for k in orders:
+        got = spectrum._concentration_eigenvectors(ProlateParams(n, 0.2), k, k)[:, 0]
+        assert abs(got @ ref[:, n - 1 - k]) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("w", [0.03, 0.2, 0.35])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 128, 129, 200, 201])
+def test_parity_route_matches_dense(n, w):
+    # odd and even n: eigenvalues against the dense oracle, and eigenvectors
+    # against a dense solve of T (signs aligned), for every order
+    from prolate.spectrum import _concentration_eigenvectors
+
+    p = ProlateParams(n, w)
+    assert np.max(np.abs(tridiagonal_spectrum(p, 0, n - 1).lam - dense_spectrum(p).lam)) <= 1e-10
+    got = _concentration_eigenvectors(p, 0, n - 1)
+    ref = np.linalg.eigh(_dense_t(n, w))[1][:, ::-1]
+    signs = np.sign(np.sum(got * ref, axis=0))
+    assert np.max(np.abs(got - ref * signs)) <= 1e-10
+
+
+@pytest.mark.parametrize("w", [0.05, 0.25, 0.45])
+@pytest.mark.parametrize("n", [2, 3, 10, 11, 256, 257])
+def test_parity_blocks_split_the_spectrum(n, w):
+    # block p holds exactly the full-T eigenvalues of orders k = p, p + 2, ...
+    # (T in descending order), to the backward error of the two solves
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    from prolate.spectrum import _parity_block, _tridiag_bands
+
+    diag, off = _tridiag_bands(n, w)
+    full = eigvalsh_tridiagonal(diag, off)[::-1]
+    tol = 8 * n * np.finfo(float).eps * (np.abs(diag).max() + 2 * np.abs(off).max())
+    for parity in (0, 1):
+        block = eigvalsh_tridiagonal(*_parity_block(diag, off, parity))[::-1]
+        assert block.size == full[parity::2].size
+        assert np.max(np.abs(block - full[parity::2])) <= tol
+
+
 def test_rayleigh_quotients_match_compensated_sum():
     # the vectorized dot against a per-column math.fsum reference, within
     # the error bound of a plain sum, n * eps * sum(|terms|)
@@ -168,13 +225,40 @@ def test_singular_shifted_solve_raises():
 
 
 @pytest.mark.parametrize(
-    "n, w", [(392, 0.49999999999999994), (101, 0.4999999999999999), (2, 1e-12), (64, 1e-10)]
+    "n, w",
+    [
+        (392, 0.49999999999999994),
+        (101, 0.4999999999999999),
+        (2, 1e-12),
+        (64, 1e-10),
+        (5, 0.49999999999999994),
+        (64, 0.499999999),
+        (8, 1e-12),
+        (5, 1e-300),
+    ],
 )
-def test_tridiagonal_bandwidth_at_float_limits(n, w):
-    # cos(2 pi W) rounds to +-1 here and bisection can return a T-eigenvalue
-    # exactly, so the first shifted solve meets a singular matrix
+def test_tridiagonal_bandwidth_at_float_limits(monkeypatch, n, w):
+    # cos(2 pi W) rounds to +-1 here, so a parity block has exact eigenvalues
+    # (0 among them) that bisection can return to the last bit, and the first
+    # shifted solve meets a singular matrix; the retry moves that shift alone.
+    # At (64, 0.499999999) moving every shift of the block would land another
+    # one exactly on its eigenvalue. n = 2 has only 1 x 1 blocks and no solve
+    import prolate.spectrum as spectrum
+
+    failed = []
+    solve = spectrum._shifted_solves
+
+    def recording(diag, off, shifts):
+        try:
+            return solve(diag, off, shifts)
+        except NumericalError:
+            failed.append(shifts.size)
+            raise
+
+    monkeypatch.setattr(spectrum, "_shifted_solves", recording)
     p = ProlateParams(n, w)
     slc = tridiagonal_spectrum(p, 0, n - 1)
+    assert bool(failed) == (n > 2)
     assert np.max(np.abs(slc.lam - dense_spectrum(p).lam)) <= 1e-10
     assert transition_width(p, 1e-2).width == 0
 
