@@ -31,9 +31,13 @@ lambda and 1 - lambda stays below 1e-3 where that value exceeds 1e-14
 floor (worst seen 2.0e-2).
 
 A transition width needs only the two ends of the run in (eps, 1 - eps).
-Computed lambda_k is monotone in k, so :func:`transition_widths` bisects k
-for each end inside a cover of orders around 2NW, one eigenvalue per step,
-and shares those eigenvalues across its thresholds.
+Computed lambda_k is monotone in k, so :func:`transition_widths` searches k
+for each end, one eigenvalue per step, and shares those eigenvalues across
+its thresholds. logit(lambda_k) is nearly linear in k through the
+transition (Slepian, Bell Syst. Tech. J. 57, 1978: lambda_k ~ 1/(1 + e^(pi b))),
+so each step probes where the secant through the resolved eigenvalues
+nearest the threshold crosses it, and a width costs a few eigenvalues
+(about 9 at N = 2**16, eps = 1e-13).
 
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,8 +58,15 @@ from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dgtsv
 
 from .bounds import proxy_delta, width_bound_thm1
-from .errors import NumericalError, ParameterError
-from .kernel import ProlateParams, SymmetricToeplitz, build_prolate_matrix, sinc_kernel
+from .errors import CapacityError, NumericalError, ParameterError
+from .kernel import (
+    RESOLUTION_FLOOR,
+    ProlateParams,
+    SymmetricToeplitz,
+    build_prolate_matrix,
+    dense_cap,
+    sinc_kernel,
+)
 
 __all__ = [
     "SpectrumSlice",
@@ -310,11 +320,24 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
     params : ProlateParams
     kmin, kmax : int
         Inclusive index range, ``0 <= kmin <= kmax <= n - 1``.
+
+    Raises
+    ------
+    CapacityError
+        If the n x (kmax - kmin + 1) eigenvector block has more entries than
+        the dense route's n x n block may (:func:`kernel.dense_cap` squared),
+        before anything is allocated.
     """
     n = params.n
     if not (0 <= kmin <= kmax <= n - 1):
         raise ParameterError(f"need 0 <= kmin <= kmax <= {n - 1}, got [{kmin}, {kmax}]")
     count = kmax - kmin + 1
+    limit = dense_cap() ** 2
+    if n * count > limit:
+        raise CapacityError(
+            f"{count} eigenvectors of length {n} exceed the entry cap {limit} "
+            "(the dense cap squared); ask for fewer orders"
+        )
     lam = np.empty(count)
     comp = np.empty(count)
     via = np.zeros(count, dtype=bool)
@@ -342,7 +365,7 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
 def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | None]:
     """(width, k_first, k_last) of the run with eps < lambda < 1 - eps in a slice.
 
-    Counts every entry; the reference that the bisection in
+    Counts every entry; the reference that the search in
     :func:`transition_widths` is tested against.
     """
     idx = np.flatnonzero((slc.lam > eps) & (slc.comp > eps))
@@ -356,13 +379,23 @@ def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | N
 def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]:
     """Count indices with eps < lambda_k < 1 - eps, for each eps of ``eps_list``.
 
-    Computed lambda_k is non-increasing and 1 - lambda_k non-decreasing in k,
-    so the run for one eps is [k_first, k_last], where k_first is the first
-    order with 1 - lambda > eps and k_last the last with lambda > eps. Both
-    are found by bisecting k inside a cover of orders around 2NW whose two
-    ends lie outside (eps, 1 - eps) for the smallest eps; each step computes
-    one eigenvalue. Runs are nested in eps, so the thresholds are taken from
-    largest to smallest, each search inside the bracket the previous one left.
+    Computed lambda_k is non-increasing and 1 - lambda_k non-decreasing in k
+    where it is resolved, so the run for one eps is [k_first, k_last], where
+    k_first is the first order with 1 - lambda > eps and k_last the last with
+    lambda > eps. Each end is found by one search over k, each step of which
+    computes one eigenvalue (a probe). The search keeps the bracket that the
+    probes prove, last order outside the run and first inside, and probes
+    where the secant through the two resolved probes with logit(lambda_k)
+    nearest logit(eps) (or logit(1 - eps)) crosses that level: logit(lambda_k)
+    is nearly linear in k through the transition, so an end costs a probe or
+    two once the secant has two points. Probes with lambda or 1 - lambda at
+    the resolution floor count only by which side they fall on; where there
+    is no secant, or the last probe was such a one, the search bisects.
+
+    The searches start inside a cover of orders around 2NW, thm1 wide on
+    each side, whose ends are taken to lie outside the run. An end is probed
+    only when a search reaches it, and the cover is widened if it lies inside.
+    Probes are shared by all searches and thresholds, largest eps first.
 
     Parameters
     ----------
@@ -378,38 +411,68 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
             raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
     n = params.n
     probes: dict[int, tuple[float, float]] = {}
+    logits: dict[int, float] = {}  # logit(lambda_k) of the probes above the floor
 
-    def probe(k: int) -> tuple[float, float]:
-        """(lambda_k, 1 - lambda_k), one order per call, memoized for this count."""
-        if k not in probes:
-            slc = tridiagonal_spectrum(params, k, k)
-            probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
-        return probes[k]
+    def probe(k: int) -> None:
+        """Record (lambda_k, 1 - lambda_k) of an order not yet probed, one order per call."""
+        slc = tridiagonal_spectrum(params, k, k)
+        lam, comp = probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
+        if min(lam, comp) > RESOLUTION_FLOOR:
+            logits[k] = math.log(lam) - math.log(comp)
+
+    def next_order(lo: int, hi: int, level: float) -> int:
+        """The order strictly inside (lo, hi) nearest where logit(lambda_k) crosses
+        ``level`` on the secant through the two resolved probes nearest that level.
+        The midpoint when there is no such pair, or when the last probe was
+        saturated: its value says nothing, and the secant would stall beside it."""
+        near = sorted(logits, key=lambda k: abs(logits[k] - level))[:2]
+        if len(near) == 2 and next(reversed(probes)) in logits:
+            (k1, x1), (k2, x2) = ((k, logits[k]) for k in near)
+            if x1 != x2:
+                k = k1 + (level - x1) * (k2 - k1) / (x2 - x1)
+                return round(min(max(k, lo + 1), hi - 1))
+        return (lo + hi) // 2
 
     # the cover: the run is no wider than the thm1 width bound, and it
-    # straddles the 1/2-split orders around 2NW
-    eps_min = min(eps_list)
+    # straddles the 1/2-split orders around 2NW. Each search takes the cover's
+    # ends to lie outside the run until it reaches one; that end is then probed
+    # and, if it lies inside after all, the cover widened
     center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
     center_hi = min(max(params.tbp_ceil, 0), n - 1)
-    m = width_bound_thm1(n, eps_min).integer + 2
-    for _ in range(64):
-        a = max(0, center_lo - m)
-        b = min(n - 1, center_hi + m)
-        left_done = a == 0 or probe(a)[1] <= eps_min
-        right_done = b == n - 1 or probe(b)[0] <= eps_min
-        if left_done and right_done:
-            break
-        m *= 2
-    else:
-        raise NumericalError("transition window failed to close; eps may be degenerate")
+    reach = width_bound_thm1(n, min(eps_list)).integer + 2
+    widened = 0
 
-    # first: first order with 1 - lambda > eps; stop: first with lambda <= eps.
-    # Both move outward as eps falls, so each search starts where the last ended
+    def first_inside(inside, level: float) -> int:
+        """First order k with ``inside(k)``, for a predicate of the probed orders
+        that turns True as logit(lambda_k) falls through ``level``; orders -1
+        and n count as False and True."""
+        nonlocal reach, widened
+        while True:
+            # the bracket that the probes prove, narrowed to the cover
+            hi = min((k for k in probes if inside(k)), default=n)
+            lo = max((k for k in probes if k < hi and not inside(k)), default=-1)
+            a = center_lo - reach if center_lo - reach > 0 else -1
+            b = center_hi + reach if center_hi + reach < n - 1 else n
+            lo_c, hi_c = max(lo, a), min(hi, b)
+            if hi_c - lo_c > 1:
+                probe(next_order(lo_c, hi_c, level))
+            elif (lo_c, hi_c) == (lo, hi):
+                return hi
+            elif (end := a if lo_c > lo else b) not in probes:
+                probe(end)
+            else:
+                widened += 1
+                if widened == 64:
+                    raise NumericalError("transition window failed to close; eps may be degenerate")
+                reach *= 2
+
+    # run [first, stop - 1]: first is the first order with 1 - lambda > eps,
+    # stop the first with lambda <= eps
     runs: dict[float, tuple[int, int]] = {}
-    first, stop = b + 1, a
     for eps in sorted(set(eps_list), reverse=True):
-        first = a + bisect_left(range(a, first), True, key=lambda k: probe(k)[1] > eps)
-        stop += bisect_left(range(stop, b + 1), True, key=lambda k: probe(k)[0] <= eps)
+        level = math.log1p(-eps) - math.log(eps)  # logit(1 - eps)
+        first = first_inside(lambda k: probes[k][1] > eps, level)
+        stop = first_inside(lambda k: probes[k][0] <= eps, -level)
         runs[eps] = (first, stop - 1)
     reports = []
     for eps in eps_list:

@@ -173,6 +173,16 @@ def test_eigs_krange_out_of_range(capsys, method, krange):
     assert err.startswith("error: --krange") and err.count("\n") == 1
 
 
+def test_eigs_oversized_trid_slice_exit_two(capsys):
+    # every order at N = 2^16 is refused before the eigenvector block is allocated
+    code, out, err = run(
+        capsys, "eigs", "--n", "65536", "--w", "0.2", "--krange", "0:65535", "--method", "trid"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_pswf_matches_thm2(capsys):
     import math
 

@@ -3,8 +3,11 @@
 Examples are derandomized, so every run checks the same cases.
 """
 
+import functools
 import itertools
 import math
+from bisect import bisect_left
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -24,6 +27,7 @@ from prolate import (
     width_bound_thm1,
     width_bound_thm2,
 )
+import prolate.spectrum as spectrum
 from prolate.kernel import RESOLUTION_FLOOR
 from prolate.spectrum import _count_run
 
@@ -63,6 +67,50 @@ def test_transition_widths_match_full_spectrum_count(n, w, eps_list):
     for report in transition_widths(p, eps_list):
         run = (report.width, report.k_first, report.k_last)
         assert run == _count_run(full, report.eps), (report, run)
+
+
+def _bisection_runs(p: ProlateParams, eps_list: list[float]) -> tuple[dict, int]:
+    """Reference width search: bisection over k inside the thm1 cover, whose
+    ends are probed and widened first. Returns {eps: (width, k_first, k_last)}
+    and the number of orders it computed."""
+    n, eps_min = p.n, min(eps_list)
+    probe = functools.cache(lambda k: tridiagonal_spectrum(p, k, k))
+    center_lo, center_hi = min(max(p.tbp_floor - 1, 0), n - 1), min(max(p.tbp_ceil, 0), n - 1)
+    m = width_bound_thm1(n, eps_min).integer + 2
+    while True:
+        a, b = max(0, center_lo - m), min(n - 1, center_hi + m)
+        if (a == 0 or probe(a).comp[0] <= eps_min) and (b == n - 1 or probe(b).lam[0] <= eps_min):
+            break
+        m *= 2
+    runs, first, stop = {}, b + 1, a
+    for eps in sorted(set(eps_list), reverse=True):
+        first = a + bisect_left(range(a, first), True, key=lambda k: probe(k).comp[0] > eps)
+        stop += bisect_left(range(stop, b + 1), True, key=lambda k: probe(k).lam[0] <= eps)
+        width = max(stop - first, 0)
+        runs[eps] = (width, first, stop - 1) if width else (0, None, None)
+    return runs, probe.cache_info().currsize
+
+
+@budget(40)
+@given(n=st.integers(1, 4096), w=bandwidths, eps_list=st.lists(thresholds, min_size=1, max_size=3))
+def test_secant_search_matches_bisection(n, w, eps_list):
+    # the secant search finds the same runs as plain bisection, and never
+    # computes more orders to do so
+    assume(w < 0.5)
+    p = ProlateParams(n, w)
+    runs, bisected = _bisection_runs(p, eps_list)
+    calls = []
+    compute = spectrum.tridiagonal_spectrum
+
+    def counting(params, kmin, kmax):
+        calls.append(kmin)
+        return compute(params, kmin, kmax)
+
+    with mock.patch.object(spectrum, "tridiagonal_spectrum", counting):
+        reports = transition_widths(p, eps_list)
+    for report in reports:
+        assert (report.width, report.k_first, report.k_last) == runs[report.eps], report
+    assert len(calls) <= bisected, (calls, bisected)
 
 
 @budget(25)

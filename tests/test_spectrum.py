@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from prolate import (
+    BoundValue,
+    CapacityError,
     NumericalError,
     ParameterError,
     ProlateParams,
@@ -64,6 +66,32 @@ def test_tridiagonal_range_validation():
         tridiagonal_spectrum(p, 10, 64)
     with pytest.raises(ParameterError):
         tridiagonal_spectrum(p, 7, 3)
+
+
+def test_tridiagonal_entry_cap_raises_before_allocating():
+    # all 65536 orders at N = 2^16 would be a 32 GiB eigenvector block
+    import tracemalloc
+
+    p = ProlateParams(65536, 0.2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            tridiagonal_spectrum(p, 0, 65535)
+        with pytest.raises(CapacityError):
+            eigensum_tail(p, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tridiagonal_entry_cap_follows_dense_cap(monkeypatch):
+    # the cap is the dense route's n x n block, dense_cap() squared entries
+    monkeypatch.setenv("PROLATE_DENSE_CAP", "8")
+    p = ProlateParams(64, 0.2)
+    assert tridiagonal_spectrum(p, 12, 12).lam.shape == (1,)
+    with pytest.raises(CapacityError):
+        tridiagonal_spectrum(p, 12, 13)
 
 
 def test_tridiagonal_complement_precision():
@@ -345,8 +373,10 @@ def test_transition_width_at_two_pow_16():
 
 
 def test_transition_width_probe_budget(monkeypatch):
-    # each bisection step computes one order, so a width over the thm1 cover
-    # [a, b] costs its two end probes plus two searches of ceil(log2(b - a + 2))
+    # each probe computes one order. logit(lambda_k) is nearly linear in k
+    # through the transition, so once two probes have resolved values, a
+    # secant lands each end of a run within a probe or two: 9 probes for one
+    # eps at N = 2^16, and 14 for three
     import prolate.spectrum as spectrum
 
     calls = []
@@ -357,15 +387,33 @@ def test_transition_width_probe_budget(monkeypatch):
         return compute(params, kmin, kmax)
 
     monkeypatch.setattr(spectrum, "tridiagonal_spectrum", counting)
-    n, eps = 65536, 1e-13
-    p = ProlateParams(n, 0.25)
-    assert transition_width(p, eps).width == 68
+    p = ProlateParams(65536, 0.25)
+    assert transition_width(p, 1e-13).width == 68
     assert all(kmin == kmax for kmin, kmax in calls), calls
-    m = width_bound_thm1(n, eps).integer + 2
-    a, b = p.tbp_floor - 1 - m, p.tbp_ceil + m
-    budget = 2 + 2 * math.ceil(math.log2(b - a + 2))
-    assert budget == 18
-    assert len(calls) <= budget, calls
+    assert len(calls) <= 9, calls
+
+    calls.clear()
+    reports = transition_widths(p, [1e-3, 1e-8, 1e-13])
+    assert [r.width for r in reports] == [18, 44, 68]
+    assert len(calls) <= 14, calls
+
+
+@pytest.mark.parametrize("n, w", [(64, 0.25), (300, 0.05), (777, 0.4), (1000, 0.125)])
+def test_transition_widths_widen_a_narrow_cover(monkeypatch, n, w):
+    # with a cover a few orders wide, the searches reach its ends, find them
+    # inside the run and widen it until they close on the full-spectrum runs
+    import prolate.spectrum as spectrum
+    from prolate.spectrum import _count_run
+
+    monkeypatch.setattr(spectrum, "width_bound_thm1", lambda n, eps: BoundValue(0.0, 0))
+    p = ProlateParams(n, w)
+    eps_list = [1e-3, 1e-8, 1e-13]
+    reports = transition_widths(p, eps_list)
+    full = tridiagonal_spectrum(p, 0, n - 1)
+    for report in reports:
+        assert (report.width, report.k_first, report.k_last) == _count_run(full, report.eps)
+    # the cover started at reach 2 around the 1/2-split orders
+    assert reports[-1].k_first < p.tbp_floor - 3 or reports[-1].k_last > p.tbp_ceil + 2
 
 
 def test_transition_widths_eps_validation():
