@@ -19,9 +19,10 @@ from prolate import (
     sinc_derivative_bound,
     sinc_kernel,
 )
+from prolate.kernel import near_block_rows
 
 w = 1.0 / 32.0
-l1 = int(1.0 / (4.0 * w))
+l1 = near_block_rows(w)
 a, b = -float(l1), -1.0
 
 print(f"derivative caps (W = {w}): |g^(k)(t)| <= (2 pi W)^k min(2W/(k+1), 2/(pi|t|))")

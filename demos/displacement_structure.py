@@ -13,6 +13,7 @@ Run: python demos/displacement_structure.py
 
 from prolate import ProlateParams, build_xl, loewner_min_eig, partition_check, sv_decay_check
 from prolate.displacement import ZolotarevSetPair, mobius_normalize
+from prolate.kernel import near_block_rows
 
 n, w, L = 256, 0.125, 2048
 params = ProlateParams(n, w)
@@ -36,7 +37,7 @@ for k, sigma, bound in report.rows:
 assert report.passed
 
 p2 = ProlateParams(512, 1.0 / 64.0)
-l1 = int(1.0 / (4.0 * p2.w))
+l1 = near_block_rows(p2.w)
 part = partition_check(p2, l1 + 64, 10, 8)
 print(f"\npartition at N = {p2.n}, W = 1/64 (near-block height L1 = {part.l1}):")
 print(f"  outer-block decay holds: {part.outer_ok}")

@@ -129,9 +129,11 @@ def cmd_eigs(args) -> int:
 
 def width_row(n: int, w: float, eps: float) -> dict:
     params = ProlateParams(n, w)
-    report = spec.transition_width(params, eps)
-    # a prior bound outside its domain is left out of the set, and printed empty
+    # a prior bound outside its domain is left out of the set, and printed empty;
+    # the set comes before the count, so that an eps that overflows a bound is
+    # reported as such rather than as one below the resolution floor
     ints = {key: val.integer for key, val in bnd.evaluate_bound_set(n, w, eps).items()}
+    report = spec.transition_width(params, eps)
     return {
         "N": n,
         "W": w,

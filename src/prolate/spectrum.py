@@ -17,10 +17,11 @@ of the prolate matrix:
   tridiagonal parity blocks of about N/2: order k is the (k//2)-th largest
   eigenvalue of block k % 2. Bisection in the block locates that eigenvalue
   only coarsely, to a small fraction of the gap to its same-parity
-  neighbours; a few shifted solves with the block (inverse iteration from a
-  fixed-seed Gaussian start) then polish the half vector, which is mirrored
-  back to length N. lambda_k is its Rayleigh quotient against B, formed with
-  a fast Toeplitz matvec and one dot product per column.
+  neighbours; inverse iteration with the block (LAPACK ``stein``, one shift
+  per call, so that no vector is re-orthogonalized against the others) then
+  polishes the half vector, which is mirrored back to length N. lambda_k is
+  its Rayleigh quotient against B, formed with a fast Toeplitz matvec and one
+  dot product per column.
 
 Eigenvalues above 1/2 are obtained through the complementary bandwidth:
 ``1 - lambda_k(N, W) = lambda_{N-1-k}(N, 1/2-W)``, so small values of
@@ -55,7 +56,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 # not called here; bench/tracing.py wraps this module-level name
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dstein
 
 from .bounds import proxy_delta, width_bound_thm1
 from .errors import CapacityError, NumericalError, ParameterError
@@ -84,9 +85,6 @@ __all__ = [
 
 #: width counts at or below this epsilon carry a +-1 advisory uncertainty
 ADVISORY_EPS = 1e-12
-
-#: shifted tridiagonal solves per eigenvector
-POLISH_SOLVES = 3
 
 
 @dataclass
@@ -130,8 +128,8 @@ class TransitionReport:
     """Count of eigenvalues inside (eps, 1 - eps).
 
     ``k_first``/``k_last`` delimit the run; both are None when it is empty.
-    ``advisory`` is set when eps sits at or below the eigenvalue resolution
-    floor, where the count carries a +-1 uncertainty.
+    ``advisory`` is set when eps is at most ``ADVISORY_EPS``, near enough the
+    eigenvalue resolution floor that the count carries a +-1 uncertainty.
     """
 
     params: ProlateParams
@@ -233,7 +231,17 @@ def _block_eigenvectors(
     diag: np.ndarray, off: np.ndarray, jlo: int, jhi: int, tol: float
 ) -> np.ndarray:
     """Eigenvectors for the jlo-th..jhi-th largest eigenvalues of one block, as
-    columns in descending eigenvalue order."""
+    columns in descending eigenvalue order.
+
+    Coarse bisection gives one shift per eigenvalue, and LAPACK ``stein``
+    (inverse iteration, which perturbs a singular shift itself) turns each
+    shift into a unit vector. Each shift goes in its own call: given several,
+    ``stein`` re-orthogonalizes every vector against the earlier ones whose
+    eigenvalues lie within 1e-3 of the block's norm, which at large n is the
+    whole slice, while same-parity neighbours are two orders apart and need
+    none of it. The block is one unreduced block: its off-diagonals, those of
+    T, never vanish.
+    """
     size = diag.size
     if size == 1:
         return np.ones((1, 1))
@@ -242,49 +250,16 @@ def _block_eigenvectors(
     shifts = eigvalsh_tridiagonal(
         diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol
     )[::-1]
-    try:
-        return _shifted_solves(diag, off, shifts)
-    except NumericalError:
-        # where cos(2 pi W) rounds to +-1 (W within about 1e-9 of 0 or 1/2), the
-        # block has exactly representable eigenvalues (0 among them) that
-        # bisection can return to the last bit, making block - shift singular.
-        # A few ulps of the block's norm off, it is not, and a shift is no more
-        # accurate than that anyway. Only a shift that fails moves, so that no
-        # other shift is moved onto its eigenvalue
-        nudge = 4.0 * np.spacing(np.abs(diag).max() + 2.0 * np.abs(off).max())
-        cols = []
-        for shift in shifts[:, None]:
-            try:
-                cols.append(_shifted_solves(diag, off, shift))
-            except NumericalError:
-                cols.append(_shifted_solves(diag, off, shift + nudge))
-        return np.hstack(cols)
-
-
-def _shifted_solves(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of the tridiagonal (off, diag, off) nearest each shift.
-
-    Inverse iteration: ``POLISH_SOLVES`` solves with T - shift, normalized after
-    each, from one fixed-seed Gaussian start, so a shift always yields the same
-    vector. Each solve shrinks the other components by the ratio of the shift
-    error to the eigenvalue gap. The matrices are the parity blocks of T,
-    whose neighbouring eigenvalues are two concentration orders apart, so the
-    gaps are wide enough that no re-orthogonalization is done. Columns follow
-    ``shifts``.
-    """
-    start = np.random.default_rng(0).standard_normal(diag.size)
-    vecs = np.empty((shifts.size, diag.size))
-    for row, shift in zip(vecs, shifts):
-        v = start
-        for _ in range(POLISH_SOLVES):
-            *_, v, info = dgtsv(off, diag - shift, off, v)
-            if info != 0:
-                raise NumericalError(
-                    f"shifted tridiagonal solve failed at shift {shift} (info={info})"
-                )
-            v /= np.linalg.norm(v)
-        row[:] = v
-    return vecs.T
+    iblock, isplit = np.ones(size, dtype=np.int32), np.full(size, size, dtype=np.int32)
+    vecs = np.empty((size, shifts.size))
+    for j in range(shifts.size):
+        vec, info = dstein(diag, off, shifts[j : j + 1], iblock, isplit)
+        if info != 0:
+            raise NumericalError(
+                f"LAPACK stein did not converge at shift {shifts[j]} (info={info})"
+            )
+        vecs[:, j] = vec[:, 0]
+    return vecs
 
 
 @functools.lru_cache(maxsize=2)
@@ -401,7 +376,10 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     ----------
     params : ProlateParams
     eps_list : sequence of float
-        Non-empty; each threshold in (0, 1/2). Reports follow its order.
+        Non-empty; each threshold in (RESOLUTION_FLOOR, 1/2). Reports follow
+        its order. At or below the floor, computed eigenvalues are rounding
+        noise and not monotone in k, so a count there would depend on which
+        orders were probed; such an eps raises ParameterError.
     """
     eps_list = [float(eps) for eps in eps_list]
     if not eps_list:
@@ -409,6 +387,10 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     for eps in eps_list:
         if not (0.0 < eps < 0.5):
             raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
+        if eps <= RESOLUTION_FLOOR:
+            raise ParameterError(
+                f"eps must exceed the resolution floor {RESOLUTION_FLOOR:g}, got {eps}"
+            )
     n = params.n
     probes: dict[int, tuple[float, float]] = {}
     logits: dict[int, float] = {}  # logit(lambda_k) of the probes above the floor
@@ -554,16 +536,17 @@ def proxy_width_interval(c: float, eps: float, n: int) -> tuple[int | None, int 
     ``bounds.proxy_delta(c, n)``, ``lo`` counts proxy eigenvalues with
     eps + delta < lambda < 1 - eps - delta (a certified lower estimate of the
     true width) and ``hi`` counts with thresholds loosened by delta (an upper
-    estimate). ``hi`` is None when eps <= delta, in which case no upper
-    estimate is certifiable. ``lo`` is None in the degenerate case
-    eps + delta >= 1/2. Both counts come from one :func:`transition_widths`
-    call on the proxy instance.
+    estimate). ``hi`` is None when eps - delta is at or below the resolution
+    floor (eps <= delta among such cases), in which case no upper estimate is
+    certifiable. ``lo`` is None in the degenerate case eps + delta >= 1/2.
+    Both counts come from one :func:`transition_widths` call on the proxy
+    instance.
     """
     if not (0.0 < eps < 0.5):
         raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
     delta = proxy_delta(c, n)
     eps_lo, eps_hi = eps + delta, eps - delta
-    counted = [thr for thr in (eps_lo, eps_hi) if 0.0 < thr < 0.5]
+    counted = [thr for thr in (eps_lo, eps_hi) if RESOLUTION_FLOOR < thr < 0.5]
     params = ProlateParams(n, c / (math.pi * n))
     widths = {r.eps: r.width for r in transition_widths(params, counted)} if counted else {}
     return widths.get(eps_lo), widths.get(eps_hi), delta

@@ -209,6 +209,19 @@ def test_overflowing_bound_exit_two(capsys, command):
     assert err == "error: thm1 overflows in double precision\n"
 
 
+@pytest.mark.parametrize("command", ["width", "sweep"])
+def test_eps_below_resolution_floor_exit_two(capsys, command):
+    # counts below the 1e-15 floor rest on rounding noise; refused with one line
+    flag = "--eps" if command == "width" else "--eps-list"
+    argv = ["--n", "1867", "--w", "0.009358314139518875", flag, "1e-20"]
+    if command == "sweep":
+        argv = ["--mode", "custom", *argv]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: eps must exceed the resolution floor 1e-15, got 1e-20\n"
+
+
 def test_pswf_proxy_widths(capsys):
     import math
 

@@ -132,6 +132,30 @@ def test_tridiagonal_matches_dense(n, w):
     assert np.max(np.abs(trid.lam - dense_spectrum(p).lam)) <= 1e-10
 
 
+# W within 1e-9 of 0 or of 1/2, where cos(2 pi W) rounds to +-1: a parity
+# block then has exactly representable eigenvalues that bisection can return
+# to the last bit, so the shifted block that inverse iteration solves with is
+# singular
+float_limit_bandwidths = st.one_of(
+    _log_uniform(1e-300, 1e-9), _log_uniform(1e-16, 1e-9).map(lambda d: 0.5 - d)
+)
+
+
+@budget(40)
+@given(
+    n=st.integers(1, 300),
+    w=float_limit_bandwidths,
+    eps_list=st.lists(thresholds, min_size=1, max_size=3),
+)
+def test_tridiagonal_at_float_limit_bandwidths(n, w, eps_list):
+    p = ProlateParams(n, w)
+    full = tridiagonal_spectrum(p, 0, n - 1)
+    assert np.max(np.abs(full.lam - dense_spectrum(p).lam)) <= 1e-10
+    for report in transition_widths(p, eps_list):
+        run = (report.width, report.k_first, report.k_last)
+        assert run == _count_run(full, report.eps), (report, run)
+
+
 @budget(200)
 @given(n=st.integers(1, 2**20), w=bandwidths, eps=thresholds)
 def test_thm3_equals_thm2_at_matched_c(n, w, eps):

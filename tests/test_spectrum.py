@@ -188,7 +188,7 @@ def test_parity_blocks_of_size_one_need_no_solve(monkeypatch, n, orders):
         raise AssertionError("a 1 x 1 parity block reached a solver")
 
     monkeypatch.setattr(spectrum, "eigvalsh_tridiagonal", refuse)
-    monkeypatch.setattr(spectrum, "_shifted_solves", refuse)
+    monkeypatch.setattr(spectrum, "dstein", refuse)
     _, ref = np.linalg.eigh(_dense_t(n, 0.2))
     for k in orders:
         got = spectrum._concentration_eigenvectors(ProlateParams(n, 0.2), k, k)[:, 0]
@@ -244,12 +244,23 @@ def test_rayleigh_quotients_match_compensated_sum():
     assert np.all(np.abs(_rayleigh_quotients(p, vecs) - ref) <= bound)
 
 
-def test_singular_shifted_solve_raises():
-    from prolate.spectrum import _shifted_solves
+def test_stein_failure_raises(monkeypatch, capsys):
+    # a nonzero info from LAPACK stein (a vector that did not converge) is a
+    # NumericalError, which the CLI reports as one error line with exit 4
+    import prolate.spectrum as spectrum
+    from prolate.cli import main
 
-    # T = [[1, 1], [1, 1]] is singular at shift 0, so the solve reports info = 2
-    with pytest.raises(NumericalError):
-        _shifted_solves(np.ones(2), np.ones(1), np.array([0.0]))
+    def failing(diag, off, shifts, iblock, isplit):
+        return np.zeros((diag.size, shifts.size)), 1
+
+    monkeypatch.setattr(spectrum, "dstein", failing)
+    with pytest.raises(NumericalError, match="stein"):
+        tridiagonal_spectrum(ProlateParams(64, 0.2), 20, 30)
+    code = main(["width", "--n", "1000", "--w", "0.125", "--eps", "1e-3"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -265,28 +276,13 @@ def test_singular_shifted_solve_raises():
         (5, 1e-300),
     ],
 )
-def test_tridiagonal_bandwidth_at_float_limits(monkeypatch, n, w):
+def test_tridiagonal_bandwidth_at_float_limits(n, w):
     # cos(2 pi W) rounds to +-1 here, so a parity block has exact eigenvalues
-    # (0 among them) that bisection can return to the last bit, and the first
-    # shifted solve meets a singular matrix; the retry moves that shift alone.
-    # At (64, 0.499999999) moving every shift of the block would land another
-    # one exactly on its eigenvalue. n = 2 has only 1 x 1 blocks and no solve
-    import prolate.spectrum as spectrum
-
-    failed = []
-    solve = spectrum._shifted_solves
-
-    def recording(diag, off, shifts):
-        try:
-            return solve(diag, off, shifts)
-        except NumericalError:
-            failed.append(shifts.size)
-            raise
-
-    monkeypatch.setattr(spectrum, "_shifted_solves", recording)
+    # (0 among them) that bisection can return to the last bit, which makes
+    # the shifted block singular; stein perturbs such a shift itself. n = 2
+    # has only 1 x 1 blocks and no solve
     p = ProlateParams(n, w)
     slc = tridiagonal_spectrum(p, 0, n - 1)
-    assert bool(failed) == (n > 2)
     assert np.max(np.abs(slc.lam - dense_spectrum(p).lam)) <= 1e-10
     assert transition_width(p, 1e-2).width == 0
 
@@ -328,6 +324,24 @@ def test_transition_width_eps_validation():
         transition_width(ProlateParams(10, 0.1), 0.5)
     with pytest.raises(ParameterError):
         transition_width(ProlateParams(10, 0.1), 0.0)
+
+
+def test_eps_at_or_below_resolution_floor_rejected():
+    # at or below the 1e-15 floor computed eigenvalues are rounding noise and
+    # not monotone in k, so a count would depend on which orders were probed:
+    # here the whole spectrum counts 1837 at eps = 2.868e-159, the search 35
+    from prolate.kernel import RESOLUTION_FLOOR
+    from prolate.spectrum import proxy_width_interval
+
+    p = ProlateParams(1867, 0.009358314139518875)
+    for eps in (2.868e-159, RESOLUTION_FLOOR):
+        with pytest.raises(ParameterError, match="resolution floor"):
+            transition_widths(p, [1e-3, eps])
+    # a proxy threshold eps - delta at the floor is left uncounted, as below 0
+    c = math.pi * 50.0
+    lo, hi, delta = proxy_width_interval(c, 0.0013143955093473106 + 5e-16, 2000)
+    assert delta == pytest.approx(0.0013143955093473106, rel=1e-12)
+    assert hi is None and lo is not None
 
 
 def test_transition_width_matches_dense_count():
