@@ -109,10 +109,6 @@ class ProlateParams:
     def tbp_ceil(self) -> int:
         return int(math.ceil(self.time_bandwidth))
 
-    def complement(self) -> "ProlateParams":
-        """Instance with bandwidth 1/2 - w; its spectrum is the reflection 1 - lambda."""
-        return ProlateParams(self.n, 0.5 - self.w)
-
 
 def near_block_rows(w: float) -> int:
     """L1 = floor(1/(4W)): rows in each near boundary block {-L1..-1}, {N..N+L1-1}."""

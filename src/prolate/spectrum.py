@@ -23,13 +23,18 @@ of the prolate matrix:
   its Rayleigh quotient against B, formed with a fast Toeplitz matvec and one
   dot product per column.
 
-Eigenvalues above 1/2 are obtained through the complementary bandwidth:
-``1 - lambda_k(N, W) = lambda_{N-1-k}(N, 1/2-W)``, so small values of
-``1 - lambda`` are computed directly rather than by cancellation. Against
-60-digit eigenvalues at N <= 48, the relative error of the smaller of
-lambda and 1 - lambda stays below 1e-3 where that value exceeds 1e-14
-(worst seen 3.6e-4) and below 5e-2 where it exceeds the 1e-15 resolution
-floor (worst seen 2.0e-2).
+Eigenvalues above 1/2 are reflected exactly. With D = diag((-1)**i), the
+instance at bandwidth 1/2 - W has T(1/2 - W) = -D T(W) D and prolate matrix
+D (I - B) D, so its order N-1-k has the vector D s of order k here and the
+eigenvalue ``1 - lambda_k = s^T (I - B) s``. Orders below floor(2NW) take
+``1 - lambda`` as that Rayleigh quotient against I - B (first column
+1 - 2W, -g(1), -g(2), ...): small values are computed directly rather than
+by cancellation, and no second instance is built. Where the smaller of
+lambda and 1 - lambda is at most 1e-2, its absolute error stays below 2e-16
+(worst seen 1.1e-16; relative, up to 5e-2 just above the 1e-15 floor)
+against 60-digit eigenvalues at N <= 48 and exact Rayleigh quotients of the
+computed vectors at N = 1024 to 4096; above 1e-2, its relative error stays
+below 1e-14 (worst seen 5.7e-15).
 
 A transition width needs only the two ends of the run in (eps, 1 - eps).
 Computed lambda_k is monotone in k, so :func:`transition_widths` searches k
@@ -92,8 +97,9 @@ class SpectrumSlice:
     """A contiguous run of computed eigenvalues ``{(k, lambda_k)}``.
 
     ``lam`` holds lambda_k clamped to [0, 1]; ``comp`` holds 1 - lambda_k,
-    computed directly for orders below 2NW (exact reflection through the
-    complementary-bandwidth instance, not the rounded difference).
+    computed directly for the orders marked ``via_complement`` (those below
+    floor(2NW) on the tridiagonal route) as a Rayleigh quotient against
+    I - B, not as the rounded difference.
     """
 
     params: ProlateParams
@@ -263,15 +269,21 @@ def _block_eigenvectors(
 
 
 @functools.lru_cache(maxsize=2)
-def _prolate_operator(params: ProlateParams) -> SymmetricToeplitz:
-    """B as a Toeplitz operator; two entries hold an instance and its complement,
-    so the one-order probes of a width count share one kernel FFT per instance."""
-    return SymmetricToeplitz(sinc_kernel(params.w, np.arange(params.n)))
+def _prolate_operator(params: ProlateParams, reflected: bool) -> SymmetricToeplitz:
+    """B, or I - B when ``reflected``, as a Toeplitz operator; the two entries
+    let the one-order probes of a width count share one kernel FFT per side.
+    I - B negates B's sinc samples, and its entry 0 is fl(1 - 2W)."""
+    col = sinc_kernel(params.w, np.arange(params.n))
+    if reflected:
+        col = -col
+        col[0] += 1.0
+    return SymmetricToeplitz(col)
 
 
-def _rayleigh_quotients(params: ProlateParams, vecs: np.ndarray) -> np.ndarray:
-    """lambda = s^T (B s) per unit column s, matvec by FFT, one dot per column."""
-    return np.einsum("ij,ij->j", vecs, _prolate_operator(params).matmat(vecs))
+def _rayleigh_quotients(params: ProlateParams, vecs: np.ndarray, reflected: bool) -> np.ndarray:
+    """s^T (B s), or s^T ((I - B) s) when ``reflected``, per unit column s; the
+    matvec by FFT, one dot per column."""
+    return np.einsum("ij,ij->j", vecs, _prolate_operator(params, reflected).matmat(vecs))
 
 
 def dense_spectrum(params: ProlateParams) -> SpectrumSlice:
@@ -286,9 +298,9 @@ def dense_spectrum(params: ProlateParams) -> SpectrumSlice:
 def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> SpectrumSlice:
     """Eigenvalues lambda_kmin..lambda_kmax via the commuting tridiagonal route.
 
-    Orders below floor(2NW) (where lambda >= 1/2) are computed through the
-    complementary-bandwidth instance so that 1 - lambda retains relative
-    accuracy near 1.
+    Every order is solved for in this instance; orders below floor(2NW), where
+    lambda >= 1/2, take 1 - lambda directly as s^T (I - B) s of their unit
+    vector s, so that it keeps relative accuracy near 1.
 
     Parameters
     ----------
@@ -313,28 +325,17 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
             f"{count} eigenvectors of length {n} exceed the entry cap {limit} "
             "(the dense cap squared); ask for fewer orders"
         )
+    vecs = _concentration_eigenvectors(params, kmin, kmax)
+    head = min(max(params.tbp_floor - kmin, 0), count)  # orders below floor(2NW)
     lam = np.empty(count)
     comp = np.empty(count)
-    via = np.zeros(count, dtype=bool)
-
-    split = params.tbp_floor  # orders < split go through the complement
-    for reflected, lo, hi in ((True, kmin, min(kmax, split - 1)), (False, max(kmin, split), kmax)):
-        if lo > hi:
+    for reflected, cols in ((True, slice(0, head)), (False, slice(head, count))):
+        if cols.start == cols.stop:
             continue
-        # lambda_k(N, W) = 1 - lambda_{N-1-k}(N, 1/2 - W): a reflected half takes
-        # the complement's orders N-1-hi..N-1-lo, which run backwards in k
-        if reflected:
-            inst, jlo, jhi = params.complement(), n - 1 - hi, n - 1 - lo
-        else:
-            inst, jlo, jhi = params, lo, hi
-        vals = _rayleigh_quotients(inst, _concentration_eigenvectors(inst, jlo, jhi))
-        sel = slice(lo - kmin, hi - kmin + 1)
         own, other = (comp, lam) if reflected else (lam, comp)
-        own[sel] = np.clip(vals[::-1] if reflected else vals, 0.0, 1.0)
-        other[sel] = 1.0 - own[sel]
-        via[sel] = reflected
-
-    return SpectrumSlice(params, kmin, kmax, lam, comp, via)
+        own[cols] = np.clip(_rayleigh_quotients(params, vecs[:, cols], reflected), 0.0, 1.0)
+        other[cols] = 1.0 - own[cols]
+    return SpectrumSlice(params, kmin, kmax, lam, comp, np.arange(count) < head)
 
 
 def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | None]:
@@ -487,15 +488,16 @@ def eigensum_tail(params: ProlateParams, K: int) -> float:
 def eigensum_head(params: ProlateParams, K: int) -> float:
     """Sum of the leading eigenvalue defects ``sum_{k=0..K-1} (1 - lambda_k)``.
 
-    Computed as the trailing sum of the complementary-bandwidth instance
-    (an exact reflection), so defects far below 1e-16 are not rounded away.
+    Sums the directly computed ``1 - lambda_k`` of one slice, so defects far
+    below 1e-16 are not rounded away; entries at or past floor(2NW) are at
+    least 1/2, so rounding them costs only ulps of a sum of at least 1/2.
     """
     n = params.n
     if not (0 <= K <= n):
         raise ParameterError(f"need 0 <= K <= {n}, got {K}")
     if K == 0:
         return 0.0
-    return eigensum_tail(params.complement(), n - K)
+    return math.fsum(tridiagonal_spectrum(params, 0, K - 1).comp.tolist())
 
 
 @dataclass(kw_only=True)

@@ -95,7 +95,7 @@ def test_criterion_06_spectrum_property_suite():
                 assert trid.lam_at(fl - 1) >= 0.5 - 1e-10
             if ce <= n - 1:
                 assert trid.lam_at(ce) <= 0.5 + 1e-10
-            reflected = pr.dense_spectrum(p.complement())
+            reflected = pr.dense_spectrum(pr.ProlateParams(n, 0.5 - w))
             assert np.max(np.abs(reflected.lam - (1.0 - dense.lam[::-1]))) <= 1e-10
             assert np.max(np.abs(dense.lam - trid.lam)) <= 1e-10
 
@@ -109,7 +109,7 @@ def test_criterion_07_envelope_and_sum_suite():
                 env = pr.eig_envelope(n, w, k)
                 assert env.lower - 1e-10 <= lam[k] <= env.upper + 1e-10, (n, w, k)
             fl, ce = p.tbp_floor, p.tbp_ceil
-            comp_tail = pr.tridiagonal_spectrum(p.complement(), n - fl, n - 1).lam[::-1]
+            comp_tail = pr.tridiagonal_spectrum(pr.ProlateParams(n, 0.5 - w), n - fl, n - 1).lam[::-1]
             heads = np.cumsum(comp_tail)
             for K in range(1, fl + 1):
                 cap = pr.sum_bounds_cor2(n, w, K, "head") + sum_noise_allowance(K)

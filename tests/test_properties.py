@@ -203,3 +203,18 @@ def test_pswf_sum_bounds_dominate_envelope_margins(c):
     tails = list(itertools.takewhile(lambda u: u > 0.0, uppers))[::-1]
     caps = [pswf_sum_bounds(c, K, "tail") for K in range(ce + len(tails) - 1, ce - 1, -1)]
     _assert_sums_dominate(tails, caps)
+
+
+@budget(40)
+@given(n=st.integers(1, 300), w=st.floats(0.25, 0.5, exclude_max=True))
+def test_reflection_through_complement_is_exact(n, w):
+    # lambda_k(W) + lambda_{N-1-k}(1/2 - W) = 1, where 1/2 - W is exact
+    # (W >= 1/4): 1 - lambda_k computed against I - B at W equals lambda_{N-1-k}
+    # computed at 1/2 - W to a few ulps of 1, wherever both are resolved. The
+    # worst of these examples is 6 ulps, at an order near lambda = 0.37 that
+    # neither instance reflects
+    a = tridiagonal_spectrum(ProlateParams(n, w), 0, n - 1)
+    b = tridiagonal_spectrum(ProlateParams(n, 0.5 - w), 0, n - 1)
+    for own, mirrored in ((a.comp, b.lam[::-1]), (a.lam, b.comp[::-1])):
+        resolved = (own > RESOLUTION_FLOOR) & (mirrored > RESOLUTION_FLOOR)
+        assert np.all(np.abs(own - mirrored)[resolved] <= 8 * np.finfo(float).eps), (n, w)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from prolate import (
     tridiagonal_spectrum,
     width_bound_thm1,
 )
+from prolate.kernel import RESOLUTION_FLOOR
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,7 @@ def test_tridiagonal_complement_precision():
         assert slc.comp[k - slc.kmin] == pytest.approx(ref, rel=1e-6, abs=1e-13)
 
 
+@functools.lru_cache(maxsize=None)
 def _mp_small_side(n, w):
     """Per order k: min(lambda_k, 1 - lambda_k) and lambda_k > 1/2, at 60 digits."""
     mp = pytest.importorskip("mpmath")
@@ -133,6 +136,78 @@ def test_tridiagonal_relative_accuracy_oracle(n, w):
     rel = np.abs(got - ref) / ref
     for floor, limit in [(1e-15, 5e-2), (1e-14, 1e-3), (1e-13, 5e-4)]:
         assert np.max(rel[ref > floor]) < limit
+
+
+def _assert_small_side_claim(got, ref):
+    """The accuracy the spectrum docstring and README state for the smaller of
+    lambda and 1 - lambda: absolute error below 2e-16 where it is resolved and
+    at most 1e-2, relative error below 1e-14 above 1e-2."""
+    err = np.abs(got - ref)
+    small = (ref > RESOLUTION_FLOOR) & (ref <= 1e-2)
+    assert np.all(err[small] < 2e-16), np.max(err[small], initial=0.0)
+    assert np.all(err[ref > 1e-2] < 1e-14 * ref[ref > 1e-2])
+
+
+@pytest.mark.parametrize(
+    "n, w", [(24, 0.2), (40, 0.05), (48, 0.1), (48, 0.3), (42, 0.2570497580793853)]
+)
+def test_small_side_error_against_mpmath(n, w):
+    # at (42, 0.2570...) the relative error is 1.9e-3 just above 1e-14: an
+    # absolute error of about 2e-17; the worst over these instances is 1.1e-16
+    ref, upper = _mp_small_side(n, w)
+    slc = tridiagonal_spectrum(ProlateParams(n, w), 0, n - 1)
+    _assert_small_side_claim(np.where(upper, slc.comp, slc.lam), ref)
+
+
+def _exact_rayleigh_pair(w, s):
+    """(s^T B s, s^T (I - B) s) / s^T s for a float64 vector s, to 40 digits.
+
+    The autocorrelation r(t) = sum_i s_i s_{i+t} is summed exactly: each
+    product is split into two doubles (Dekker's two-product) and math.fsum
+    gives r(t) as a rounded sum plus its rounded remainder. The sinc samples
+    and the final sums are mpmath numbers.
+    """
+    mp = pytest.importorskip("mpmath")
+    n = s.size
+    t = 134217729.0 * s  # Veltkamp split, 2**27 + 1
+    hi = t - (t - s)
+    lo = s - hi
+    r = []
+    for d in range(n):
+        p = s[: n - d] * s[d:]
+        e = ((hi[: n - d] * hi[d:] - p) + hi[: n - d] * lo[d:] + lo[: n - d] * hi[d:]) + (
+            lo[: n - d] * lo[d:]
+        )
+        terms = p.tolist() + e.tolist()
+        head = math.fsum(terms)
+        r.append((head, math.fsum(terms + [-head])))
+    with mp.workdps(40):
+        big_w = mp.mpf(w)
+        r = [mp.mpf(a) + mp.mpf(b) for a, b in r]
+        quad = 2 * big_w * r[0] + 2 * mp.fsum(
+            mp.sin(2 * mp.pi * big_w * d) / (mp.pi * d) * r[d] for d in range(1, n)
+        )
+        lam = quad / r[0]
+        return float(lam), float(1 - lam)
+
+
+def test_small_side_error_against_exact_rayleigh_quotients():
+    # at N = 1024: eight orders across the run in (2e-15, 1 - 2e-15) and the
+    # last two reflected orders, whose lambda moves fastest with W; 1/2 - W is
+    # not a double here, so reflecting through that instance would miss
+    from prolate.spectrum import _concentration_eigenvectors
+
+    p = ProlateParams(1024, 0.01)
+    report = transition_width(p, 2e-15)
+    orders = set(np.linspace(report.k_first, report.k_last, 8).round().astype(int).tolist())
+    got, ref = [], []
+    for k in sorted(orders | {p.tbp_floor - 2, p.tbp_floor - 1}):
+        slc = tridiagonal_spectrum(p, k, k)
+        lam, comp = _exact_rayleigh_pair(p.w, _concentration_eigenvectors(p, k, k)[:, 0])
+        small_is_comp = comp < lam
+        got.append(slc.comp[0] if small_is_comp else slc.lam[0])
+        ref.append(comp if small_is_comp else lam)
+    _assert_small_side_claim(np.array(got), np.array(ref))
 
 
 @pytest.mark.parametrize(
@@ -241,7 +316,7 @@ def test_rayleigh_quotients_match_compensated_sum():
     prods = vecs * SymmetricToeplitz(sinc_kernel(p.w, np.arange(p.n))).matmat(vecs)
     ref = np.array([math.fsum(col.tolist()) for col in prods.T])
     bound = p.n * np.finfo(float).eps * np.abs(prods).sum(axis=0)
-    assert np.all(np.abs(_rayleigh_quotients(p, vecs) - ref) <= bound)
+    assert np.all(np.abs(_rayleigh_quotients(p, vecs, reflected=False) - ref) <= bound)
 
 
 def test_stein_failure_raises(monkeypatch, capsys):
@@ -330,7 +405,6 @@ def test_eps_at_or_below_resolution_floor_rejected():
     # at or below the 1e-15 floor computed eigenvalues are rounding noise and
     # not monotone in k, so a count would depend on which orders were probed:
     # here the whole spectrum counts 1837 at eps = 2.868e-159, the search 35
-    from prolate.kernel import RESOLUTION_FLOOR
     from prolate.spectrum import proxy_width_interval
 
     p = ProlateParams(1867, 0.009358314139518875)
@@ -357,8 +431,12 @@ def test_transition_width_advisory_regime():
     assert report.advisory
 
 
-@pytest.mark.parametrize("w", [0.01, 0.05, 0.125])
-@pytest.mark.parametrize("n", [64, 257, 1000])
+@pytest.mark.parametrize(
+    "n, w",
+    [(n, w) for n in (64, 257, 1000) for w in (0.01, 0.05, 0.125)]
+    # W above 1/8, where most orders lie below floor(2NW) and reflect through I - B
+    + [(n, w) for n in (64, 129, 300, 512) for w in (0.2, 0.27, 0.33, 0.41, 0.47)],
+)
 def test_transition_widths_shared_window(n, w):
     # one call gives the per-eps reports, and the counts agree with scipy's
     # independent DPSS concentration ratios
