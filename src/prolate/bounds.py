@@ -19,8 +19,9 @@ a = 8) or 6 (rates t2 and t, a = 10); a sum term is an envelope term summed
 over all larger d, prefactor a*t and offset 2 or 7.
 
 Bounds on integer counts are reported both as the raw real value and its
-floor. All functions are pure and closed-form: nothing here computes a
-spectrum, and the module imports no other layer than ``kernel``.
+floor; a value that overflows a double raises DomainError. All functions
+are pure and closed-form: nothing here computes a spectrum, and the module
+imports no other layer than ``kernel``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .kernel import ProlateParams, sin_cos_2pi_product, snap_to_integer
+from .kernel import (
+    ProlateParams,
+    _at_least,
+    _check_eps,
+    _representable,
+    sin_cos_2pi_product,
+    snap_to_integer,
+)
 
 __all__ = [
     "BoundValue",
@@ -84,12 +92,6 @@ class SlepianApprox(NamedTuple):
     advisory: bool
 
 
-def _check_eps(eps: float) -> float:
-    if not (0.0 < eps < 0.5):
-        raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    return float(eps)
-
-
 def _check_c(c: float) -> float:
     if not c > 0.0:
         raise ParameterError(f"c must be positive, got {c}")
@@ -98,24 +100,26 @@ def _check_c(c: float) -> float:
     return float(c)
 
 
-def _count_bound(name: str, value: float) -> BoundValue:
-    """A real bound on a count and its floor; DomainError where it overflowed."""
+def _finite(name: str, value: float) -> float:
+    """``value``, once it is finite; DomainError where the closed form overflowed."""
     if not math.isfinite(value):
         raise DomainError(f"{name} overflows in double precision")
-    return BoundValue(value, int(math.floor(value)))
+    return value
+
+
+def _count_bound(name: str, value: float) -> BoundValue:
+    """A real bound on a count and its floor."""
+    return BoundValue(_finite(name, value), int(math.floor(value)))
 
 
 def width_bound_thm1(n: int, eps: float) -> BoundValue:
     """Transition-width bound 2*ceil(log(4N)*log(4/(eps*(1-eps)))/pi^2).
 
-    Already an even integer; bandwidth-independent.
+    Already an even integer; bandwidth-independent. Needs ``n >= 1``.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    _at_least("n", n, 1)
     eps = _check_eps(eps)
-    half = math.log(4.0 * n) * math.log(4.0 / (eps * (1.0 - eps))) / _PI2
-    if not math.isfinite(half):
-        raise DomainError("thm1 overflows in double precision")
+    half = _finite("thm1", math.log(4.0 * n) * math.log(4.0 / (eps * (1.0 - eps))) / _PI2)
     value = 2 * math.ceil(half)
     return BoundValue(float(value), int(value))
 
@@ -167,7 +171,7 @@ def width_bound_prior(n: int, w: float, eps: float, which: str) -> BoundValue:
             1.0 / _PI2 * math.log(2.0 * p.n * p.w)
             + 0.45
             - 2.0 / 3.0 * p.w**2
-            + s**2 / (6.0 * _PI2 * p.n**2)
+            + s**2 / (6.0 * _PI2 * (p.n * float(p.n)))  # N^2 in doubles: inf past ~1e154
         ) / (eps * (1.0 - eps))
         if value < 0.0:
             raise DomainError(f"eq3 is negative at 2NW = {2.0 * p.n * p.w:.6g}")
@@ -244,8 +248,16 @@ def _sum_bound(law: tuple[int, int, tuple], K: int, side: str, last: int | None)
     raise ParameterError(f"side must be 'head' or 'tail', got {side!r}")
 
 
+def _order_of(n: int, w: float, k: int) -> ProlateParams:
+    """The instance (n, w), once ``k`` is one of its orders 0..N-1."""
+    p = ProlateParams(n, w)
+    if not (0 <= k <= p.n - 1):
+        raise ParameterError(f"k must lie in [0, {p.n - 1}], got {k}")
+    return p
+
+
 def eig_envelope(n: int, w: float, k: int) -> EnvelopeBound:
-    """Non-asymptotic envelope [lower, upper] for lambda_k.
+    """Non-asymptotic envelope [lower, upper] for lambda_k, 0 <= k <= N-1.
 
     For k <= floor(2NW)-1 the lower bound is 1 - min{8 exp(-(fl-k-2)/t1),
     10 exp(-(fl-k-7)/t2)}; for k >= ceil(2NW) the mirrored expression bounds
@@ -253,10 +265,7 @@ def eig_envelope(n: int, w: float, k: int) -> EnvelopeBound:
     ``'uninformative'``; lambda_{fl-1} >= 1/2 >= lambda_{ce} also applies,
     flagged ``'midpoint'``.
     """
-    p = ProlateParams(n, w)
-    if not (0 <= k <= p.n - 1):
-        raise ParameterError(f"k must lie in [0, {p.n - 1}], got {k}")
-    return _envelope(_discrete_law(p), k, midpoint=True)
+    return _envelope(_discrete_law(_order_of(n, w, k)), k, midpoint=True)
 
 
 def eig_upper_prior(n: int, w: float, k: int, which: str) -> float | None:
@@ -265,11 +274,9 @@ def eig_upper_prior(n: int, w: float, k: int, which: str) -> float | None:
     ``'eq4'`` : 2 exp(-eta (k-2NW)/(log(pi N W)+5)), eta = 0.069, valid for
     2NW + log(pi N W) + 6 <= k <= pi N W.
     ``'eq5'`` : 2 exp(-(2k+1) log((2k+2)/(e pi N W))), valid for
-    2 <= (e pi/2) N W <= k <= N-1.
+    2 <= (e pi/2) N W <= k <= N-1. ``k`` outside 0..N-1 raises ParameterError.
     """
-    p = ProlateParams(n, w)
-    if not (0 <= k <= p.n - 1):
-        raise ParameterError(f"k must lie in [0, {p.n - 1}], got {k}")
+    p = _order_of(n, w, k)
     nw = p.n * p.w
     if which == "eq4":
         if not (2.0 * nw + math.log(math.pi * nw) + 6.0 <= k <= math.pi * nw):
@@ -321,10 +328,7 @@ def pswf_eig_envelope(c: float, k: int) -> EnvelopeBound:
     log(100c/pi + 25); the continuous case has no N so there is no log(4N)
     branch and no midpoint refinement.
     """
-    c = _check_c(c)
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    return _envelope(_pswf_law(c), k, midpoint=False)
+    return _envelope(_pswf_law(_check_c(c)), _at_least("k", k, 0), midpoint=False)
 
 
 def pswf_sum_bounds(c: float, K: int, side: str) -> float:
@@ -341,7 +345,11 @@ def proxy_delta(c: float, n: int) -> float:
     c = _check_c(c)
     if not n > 2.0 * c / math.pi:
         raise DomainError(f"need N > 2c/pi = {2.0 * c / math.pi:.6g}, got N = {n}")
-    return 4.0 * c**3 / (3.0 * math.pi * n**3 * math.sin(2.0 * c / n))
+    try:
+        delta = 4.0 * c**3 / (3.0 * math.pi * n**3 * math.sin(2.0 * c / n))
+    except OverflowError:  # c**3 or N**3 past the largest double: raised, not inf
+        delta = math.inf
+    return _finite("proxy_delta", delta)
 
 
 def evaluate_bound_set(
@@ -354,12 +362,15 @@ def evaluate_bound_set(
     """Evaluate the full family of bounds for one instance, no spectrum needed.
 
     Always includes the width bounds (new and prior) and the continuous-case
-    width bound at c = pi*N*W. When ``k`` is given, adds the per-index
-    envelope, the prior per-index upper bounds, and the plunge approximation;
-    when ``K`` is given, adds the head/tail sum bounds where valid.
+    width bound at c = pi*N*W. When ``k`` is given (0 <= k <= N-1), adds the
+    per-index envelope, the prior per-index upper bounds, and the plunge
+    approximation; when ``K >= 0`` is given, adds the head/tail sum bounds
+    whose range holds K.
     """
     p = ProlateParams(n, w)
     eps = _check_eps(eps)
+    if K is not None:
+        _representable("K", _at_least("K", K, 0))
     c = math.pi * p.n * p.w
     out: dict = {
         "thm1": width_bound_thm1(p.n, eps),

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement import XL_ENTRY_CAP, partition_block_bound
-from .errors import CapacityError, DomainError, ParameterError
-from .kernel import ProlateParams, near_block_rows, sinc_kernel
+from .errors import CapacityError, ParameterError
+from .kernel import ProlateParams, _at_least, _check_w, near_block_rows, sinc_kernel
 
 __all__ = [
     "sinc_derivative_bound",
@@ -48,12 +48,10 @@ MONOMIAL_RANK_CAP = 8
 def sinc_derivative_bound(w: float, k: int, t) -> np.ndarray | float:
     """Bound (2 pi W)^k * min(2W/(k+1), 2/(pi|t|)) on the k-th sinc derivative.
 
-    At t = 0 the second branch is +inf, so the first rules.
+    At t = 0 the second branch is +inf, so the first rules; needs 0 < w < 1/2, k >= 0.
     """
-    if not (0.0 < w < 0.5):
-        raise ParameterError(f"w must lie strictly in (0, 1/2), got {w}")
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+    _check_w(w)
+    _at_least("k", k, 0)
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -114,12 +112,10 @@ class ChebInterpolant:
 
 
 def cheb_interpolate(w: float, n: int, a: float, b: float, k: int) -> ChebInterpolant:
-    """Interpolant of g_n(t) = g(t - n) at the k Chebyshev nodes of [a, b]."""
+    """Interpolant of g_n(t) = g(t - n) at the k >= 1 Chebyshev nodes of [a, b]."""
     if not a < b:
         raise ParameterError(f"need a < b, got a={a}, b={b}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    nodes = _cheb_nodes(a, b, k)
+    nodes = _cheb_nodes(a, b, _at_least("k", k, 1))
     values = sinc_kernel(w, nodes - n)
     return ChebInterpolant(w, n, float(a), float(b), nodes, values, _bary_weights(k))
 
@@ -167,13 +163,11 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
     with the coefficient factor exhibits rank <= k; the Frobenius error is
     measured against the barycentric evaluation and compared with
     sqrt(5600/pi) * (pi/48)^k. Defined only for W < 1/4; wider bands raise
-    DomainError. A block of more than ``XL_ENTRY_CAP`` entries raises
-    CapacityError before anything is allocated.
+    DomainError (from :func:`kernel.near_block_rows`). Needs ``k >= 1``. A
+    block of more than ``XL_ENTRY_CAP`` entries raises CapacityError before
+    anything is allocated.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if params.w >= 0.25:
-        raise DomainError(f"near-block approximation needs W < 1/4, got W = {params.w}")
+    _at_least("k", k, 1)
     l1 = near_block_rows(params.w)
     if l1 * params.n > XL_ENTRY_CAP:
         raise CapacityError(f"L1*N = {l1 * params.n} exceeds entry cap {XL_ENTRY_CAP}")

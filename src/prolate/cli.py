@@ -19,7 +19,7 @@ from . import bounds as bnd
 from . import spectrum as spec
 from . import verification
 from .errors import CapacityError, DomainError, NumericalError, ParameterError
-from .kernel import ProlateParams
+from .kernel import ProlateParams, _at_least, dense_cap
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -174,20 +174,20 @@ def cmd_bounds(args) -> int:
 # ------------------------------------------------------------------ sweep --
 
 
-def _sweep_instance(n: int, w: float, eps_list: list[float]) -> list[dict]:
+def _sweep_instance(params: ProlateParams, eps_list: list[float]) -> list[dict]:
     """Width rows for one (N, W) at several eps, from one ``transition_widths`` call."""
     rows = []
-    for report in spec.transition_widths(ProlateParams(n, w), eps_list):
+    for report in spec.transition_widths(params, eps_list):
         eps = report.eps
-        b1 = bnd.width_bound_thm1(n, eps).integer
+        b1 = bnd.width_bound_thm1(params.n, eps).integer
         rows.append(
             {
-                "N": n,
-                "W": w,
+                "N": params.n,
+                "W": params.w,
                 "eps": eps,
                 "width": report.width,
                 "bound_thm1": b1,
-                "bound_thm2": bnd.width_bound_thm2(n, w, eps).integer,
+                "bound_thm2": bnd.width_bound_thm2(params.n, params.w, eps).integer,
                 "gap": b1 - report.width,
                 "advisory": report.advisory,
             }
@@ -196,19 +196,18 @@ def _sweep_instance(n: int, w: float, eps_list: list[float]) -> list[dict]:
 
 
 def sweep_rows(instances: list[tuple[int, float]], eps_list: list[float]) -> list[dict]:
-    """Width sweep over (N, W) instances; rows in deterministic input order."""
-    return [row for n, w in instances for row in _sweep_instance(n, w, eps_list)]
+    """Width sweep over (N, W) instances, all checked before any is computed; rows in order."""
+    params = [ProlateParams(n, w) for n, w in instances]
+    return [row for p in params for row in _sweep_instance(p, eps_list)]
 
 
 DEFAULT_EPS_LIST = [1e-3, 1e-8, 1e-13]
 
 
 def figure2_instances(n_min: int = 2**4, n_max: int = 2**12) -> list[tuple[int, float]]:
-    """Powers of two n_min..n_max at the wide bandwidth W = 1/4."""
-    if n_min < 1:
-        raise ParameterError(f"n_min must be >= 1, got {n_min}")
+    """Powers of two n_min..n_max at the wide bandwidth W = 1/4; n_min >= 1."""
     out = []
-    n = n_min
+    n = _at_least("n_min", n_min, 1)
     while n <= n_max:
         out.append((n, 0.25))
         n *= 2
@@ -218,10 +217,11 @@ def figure2_instances(n_min: int = 2**4, n_max: int = 2**12) -> list[tuple[int, 
 def figure3_instances(
     n: int = 2**12, w_lo: float = 2**-10, w_hi: float = 2**-2, points: int = 101
 ) -> list[tuple[int, float]]:
-    """Log-spaced bandwidth sweep at fixed N."""
-    if points < 0:
-        raise ParameterError(f"w_points must be >= 0, got {points}")
-    if not (0.0 < w_lo and w_hi < 0.5):
+    """Log-spaced W sweep at fixed N; ends checked first, points capped at dense_cap()**2."""
+    limit = dense_cap() ** 2
+    if _at_least("w_points", points, 0) > limit:
+        raise CapacityError(f"w_points = {points} exceeds entry cap {limit}")
+    if not (0.0 < w_lo < 0.5 and 0.0 < w_hi < 0.5):  # both ends, before geomspace sees them
         raise ParameterError(f"need 0 < w_min and w_max < 1/2, got w_min={w_lo}, w_max={w_hi}")
     ws = np.geomspace(w_lo, w_hi, points)
     return [(n, float(w)) for w in ws]
@@ -298,16 +298,8 @@ def cmd_sweep(args) -> int:
 
 def pswf_record(c: float, eps: float, n: int | None) -> dict:
     cap = bnd.pswf_width_bound(c, eps)
-    record: dict = {
-        "c": c,
-        "eps": eps,
-        "thm3": cap.value,
-        "thm3_int": cap.integer,
-        "N": None,
-        "delta": None,
-        "width_lo": None,
-        "width_hi": None,
-    }
+    record = dict.fromkeys(PSWF_HEADER.split(","))  # N, delta and widths empty without n
+    record.update({"c": c, "eps": eps, "thm3": cap.value, "thm3_int": cap.integer})
     if n is not None:
         lo, hi, delta = spec.proxy_width_interval(c, eps, n)
         record.update({"N": n, "delta": delta, "width_lo": lo, "width_hi": hi})
@@ -318,8 +310,7 @@ PSWF_HEADER = "c,eps,thm3,thm3_int,N,delta,width_lo,width_hi"
 
 
 def cmd_pswf(args) -> int:
-    record = pswf_record(args.c, args.eps, args.n)
-    _emit([record], PSWF_HEADER, args.format, args.out)
+    _emit([pswf_record(args.c, args.eps, args.n)], PSWF_HEADER, args.format, args.out)
     return EXIT_OK
 
 
@@ -388,14 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="width sweeps emitting figure data")
     common(p)
     p.add_argument("--mode", choices=("figure1", "figure2", "figure3", "custom"), default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--w", default=None)
-    p.add_argument("--n-min", dest="n_min", default=None)
-    p.add_argument("--n-max", dest="n_max", default=None)
-    p.add_argument("--w-min", dest="w_min", default=None)
-    p.add_argument("--w-max", dest="w_max", default=None)
-    p.add_argument("--w-points", dest="w_points", default=None)
-    p.add_argument("--eps-list", dest="eps_list", default=None)
+    for flag in "--n --w --n-min --n-max --w-min --w-max --w-points --eps-list".split():
+        p.add_argument(flag)  # text, parsed per mode; dest n_min etc.
     p.add_argument("--config", default=None, metavar="PATH")
     p.set_defaults(func=cmd_sweep)
 

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import CapacityError, DomainError, ParameterError
 from .kernel import (
     ProlateParams,
+    _at_least,
     build_prolate_matrix,
     near_block_rows,
     sin_cos_2pi_product,
@@ -53,10 +54,8 @@ XL_ENTRY_CAP = 1 << 25
 
 
 def partition_block_bound(k: int) -> float:
-    """Tail bound sqrt(5600/pi) * (pi/48)**k on sigma_{k+1} of a boundary block."""
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
-    return math.sqrt(5600.0 / math.pi) * (math.pi / 48.0) ** k
+    """Tail bound sqrt(5600/pi) * (pi/48)**k on sigma_{k+1} of a boundary block, k >= 0."""
+    return math.sqrt(5600.0 / math.pi) * (math.pi / 48.0) ** _at_least("k", k, 0)
 
 
 @dataclass(frozen=True)
@@ -114,11 +113,10 @@ def zolotarev_bound(pair: ZolotarevSetPair, k: int) -> float:
     """Upper bound on the k-th Zolotarev number of the pair.
 
     ``4*exp(-pi^2 k / log(4b/a))`` for the symmetric kind and
-    ``4*exp(-pi^2 k / log(16*gamma))`` otherwise. Only the bound is computed,
-    never the extremal rational function.
+    ``4*exp(-pi^2 k / log(16*gamma))`` otherwise, for k >= 0. Only the bound
+    is computed, never the extremal rational function.
     """
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+    _at_least("k", k, 0)
     if pair.kind == "symmetric":
         a, b = pair.endpoints
         return 4.0 * math.exp(-math.pi**2 * k / math.log(4.0 * b / a))
@@ -274,10 +272,9 @@ def build_xl(params: ProlateParams, L: int) -> DisplacementSystem:
 
     X[l, n] = g(l - n) over rows l in I_L = {-L..-1} u {N..N+L-1};
     U[l, :] = (sin(2 pi W l), cos(2 pi W l))/sqrt(pi) and
-    V[n, :] = (cos(2 pi W n), -sin(2 pi W n))/sqrt(pi).
+    V[n, :] = (cos(2 pi W n), -sin(2 pi W n))/sqrt(pi). Needs ``L >= 1``.
     """
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
+    _at_least("L", L, 1)
     n = params.n
     if 2 * L * n > XL_ENTRY_CAP:
         raise CapacityError(f"2L*N = {2 * L * n} exceeds entry cap {XL_ENTRY_CAP}")
@@ -328,9 +325,8 @@ class SvDecayReport:
 
 
 def sv_decay_check(params: ProlateParams, L: int, k_max: int) -> SvDecayReport:
-    """Verify sigma_{2k+1}(X_L) <= 2 exp(-pi^2 k / log(16 N^2)) for k <= k_max."""
-    if k_max < 0:
-        raise ParameterError(f"k_max must be >= 0, got {k_max}")
+    """Verify sigma_{2k+1}(X_L) <= 2 exp(-pi^2 k / log(16 N^2)) for 0 <= k <= k_max."""
+    _at_least("k_max", k_max, 0)
     system = build_xl(params, L)
     sv = system.singular_values()
     rate = math.log(16.0 * params.n**2)
@@ -379,11 +375,10 @@ def partition_check(params: ProlateParams, L: int, k0_max: int, k_max: int) -> P
     (index reversal maps one onto the other); (d) the Weyl combination
     sigma_{2k0+2k+1}(X_L)^2 <= sum of the three block terms.
 
-    Defined only for W < 1/4; wider bands raise DomainError, since the
-    bandwidth-free bound already dominates there.
+    Defined only for W < 1/4; wider bands raise DomainError (from
+    :func:`kernel.near_block_rows`), since the bandwidth-free bound already
+    dominates there.
     """
-    if params.w >= 0.25:
-        raise DomainError(f"partition check needs W < 1/4, got W = {params.w}")
     l1 = near_block_rows(params.w)
     if L < l1 + 1:
         raise ParameterError(f"L must be >= L1 + 1 = {l1 + 1}, got {L}")

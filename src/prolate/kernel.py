@@ -10,17 +10,19 @@ which this module evaluates with an extended-precision argument reduction so
 that offsets up to ``|t| ~ 2**20`` lose essentially nothing to roundoff.
 
 All functions are pure and deterministic, so concurrent callers are safe.
+It is also the one home of the input-domain checks that the other modules share.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, DomainError, ParameterError
 
 __all__ = [
     "ProlateParams",
@@ -58,6 +60,32 @@ def dense_cap() -> int:
     return cap
 
 
+def _at_least(name: str, value, lo: int):
+    """``value``, once it is at least ``lo``; ParameterError below it."""
+    if value < lo:
+        raise ParameterError(f"{name} must be >= {lo}, got {value}")
+    return value
+
+
+def _representable(name: str, value: int) -> int:
+    """``value``, once a double holds it, so closed forms give a value or inf."""
+    if value > sys.float_info.max:
+        raise ParameterError(f"{name} must fit in a double, got {value.bit_length()} bits")
+    return value
+
+
+def _check_w(w: float) -> float:
+    if not (0.0 < w < 0.5):
+        raise ParameterError(f"w must lie strictly in (0, 1/2), got {w}")
+    return float(w)
+
+
+def _check_eps(eps: float) -> float:
+    if not (0.0 < eps < 0.5):
+        raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
+    return float(eps)
+
+
 def snap_to_integer(x: float) -> float:
     """Round ``x`` to the nearest integer when it is within 1e-12 (relative) of one.
 
@@ -78,7 +106,7 @@ class ProlateParams:
     Parameters
     ----------
     n : int
-        Time duration in samples, ``n >= 1``.
+        Time duration in samples, ``n >= 1`` and at most the largest double.
     w : float
         Bandwidth, strictly inside (0, 1/2).
     """
@@ -89,17 +117,14 @@ class ProlateParams:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
             raise ParameterError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
-        if not (0.0 < self.w < 0.5):
-            raise ParameterError(f"w must lie strictly in (0, 1/2), got {self.w}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "w", float(self.w))
+        object.__setattr__(self, "n", _representable("n", _at_least("n", int(self.n), 1)))
+        object.__setattr__(self, "w", _check_w(self.w))
 
     @property
     def time_bandwidth(self) -> float:
         """The product 2*N*W, snapped to an integer when within 1e-12 of one."""
-        return snap_to_integer(2.0 * self.n * self.w)
+        # 2W first: the same double as (2N)W, but finite for every representable N
+        return snap_to_integer(2.0 * self.w * self.n)
 
     @property
     def tbp_floor(self) -> int:
@@ -111,7 +136,9 @@ class ProlateParams:
 
 
 def near_block_rows(w: float) -> int:
-    """L1 = floor(1/(4W)): rows in each near boundary block {-L1..-1}, {N..N+L1-1}."""
+    """L1 = floor(1/(4W)) for W < 1/4: rows of each near block {-L1..-1}, {N..N+L1-1}."""
+    if w >= 0.25:
+        raise DomainError(f"partition check needs W < 1/4, got W = {w}")
     return int(math.floor(1.0 / (4.0 * w)))
 
 
@@ -172,7 +199,7 @@ def sinc_kernel(w: float, t) -> np.ndarray:
     Parameters
     ----------
     w : float
-        Bandwidth in (0, 1/2).
+        Bandwidth in (0, 1/2); ParameterError outside it.
     t : array_like
         Offsets, integer or real.
 
@@ -181,8 +208,7 @@ def sinc_kernel(w: float, t) -> np.ndarray:
     ndarray
         ``g(t)`` evaluated elementwise.
     """
-    if not (0.0 < w < 0.5):
-        raise ParameterError(f"w must lie strictly in (0, 1/2), got {w}")
+    _check_w(w)
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
@@ -295,12 +321,9 @@ def sinc_identity_residual(w: float, m: int, n: int, L: int) -> float:
 
     Evaluates ``| sum_{l=-L..L} g(l-m) g(l-n) - g(m-n) |``. The full bilateral
     sum equals g(m-n) exactly, so the residual is the absolute tail and decays
-    like O(1/L); see :func:`sinc_identity_tail_bound`.
+    like O(1/L) for L >= 1; see :func:`sinc_identity_tail_bound`.
     """
-    if not (0.0 < w < 0.5):
-        raise ParameterError(f"w must lie strictly in (0, 1/2), got {w}")
-    if L < 1:
-        raise ParameterError(f"L must be >= 1, got {L}")
+    _at_least("L", L, 1)
     ell = np.arange(-L, L + 1)
     terms = sinc_kernel(w, ell - m) * sinc_kernel(w, ell - n)
     total = math.fsum(terms.tolist())

@@ -69,6 +69,7 @@ from .kernel import (
     RESOLUTION_FLOOR,
     ProlateParams,
     SymmetricToeplitz,
+    _check_eps,
     build_prolate_matrix,
     dense_cap,
     sinc_kernel,
@@ -371,6 +372,8 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     The searches start inside a cover of orders around 2NW, thm1 wide on
     each side, whose ends are taken to lie outside the run. An end is probed
     only when a search reaches it, and the cover is widened if it lies inside.
+    Each widening doubles the reach (4 or more at first); at a reach of n the
+    cover's ends are the sentinels -1 and n, so widening stops within log2(n).
     Probes are shared by all searches and thresholds, largest eps first.
 
     Parameters
@@ -382,16 +385,13 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
         noise and not monotone in k, so a count there would depend on which
         orders were probed; such an eps raises ParameterError.
     """
-    eps_list = [float(eps) for eps in eps_list]
+    eps_list = [_check_eps(eps) for eps in eps_list]
     if not eps_list:
         raise ParameterError("need at least one eps")
-    for eps in eps_list:
-        if not (0.0 < eps < 0.5):
-            raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
-        if eps <= RESOLUTION_FLOOR:
-            raise ParameterError(
-                f"eps must exceed the resolution floor {RESOLUTION_FLOOR:g}, got {eps}"
-            )
+    if (eps_min := min(eps_list)) <= RESOLUTION_FLOOR:
+        raise ParameterError(
+            f"eps must exceed the resolution floor {RESOLUTION_FLOOR:g}, got {eps_min}"
+        )
     n = params.n
     probes: dict[int, tuple[float, float]] = {}
     logits: dict[int, float] = {}  # logit(lambda_k) of the probes above the floor
@@ -416,20 +416,16 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
                 return round(min(max(k, lo + 1), hi - 1))
         return (lo + hi) // 2
 
-    # the cover: the run is no wider than the thm1 width bound, and it
-    # straddles the 1/2-split orders around 2NW. Each search takes the cover's
-    # ends to lie outside the run until it reaches one; that end is then probed
-    # and, if it lies inside after all, the cover widened
+    # the cover: the run is no wider than thm1 and straddles the orders around 2NW
     center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
     center_hi = min(max(params.tbp_ceil, 0), n - 1)
-    reach = width_bound_thm1(n, min(eps_list)).integer + 2
-    widened = 0
+    reach = width_bound_thm1(n, eps_min).integer + 2
 
     def first_inside(inside, level: float) -> int:
         """First order k with ``inside(k)``, for a predicate of the probed orders
         that turns True as logit(lambda_k) falls through ``level``; orders -1
         and n count as False and True."""
-        nonlocal reach, widened
+        nonlocal reach
         while True:
             # the bracket that the probes prove, narrowed to the cover
             hi = min((k for k in probes if inside(k)), default=n)
@@ -444,9 +440,6 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
             elif (end := a if lo_c > lo else b) not in probes:
                 probe(end)
             else:
-                widened += 1
-                if widened == 64:
-                    raise NumericalError("transition window failed to close; eps may be degenerate")
                 reach *= 2
 
     # run [first, stop - 1]: first is the first order with 1 - lambda > eps,
@@ -472,30 +465,31 @@ def transition_width(params: ProlateParams, eps: float) -> TransitionReport:
     return transition_widths(params, [eps])[0]
 
 
+def _check_sum_index(params: ProlateParams, K: int) -> int:
+    """``K``, once it splits the spectrum: 0 <= K <= N; ParameterError otherwise."""
+    if not (0 <= K <= params.n):
+        raise ParameterError(f"need 0 <= K <= {params.n}, got {K}")
+    return K
+
+
 def eigensum_tail(params: ProlateParams, K: int) -> float:
-    """Sum of the trailing eigenvalues ``sum_{k=K..N-1} lambda_k``.
+    """Sum of the trailing eigenvalues ``sum_{k=K..N-1} lambda_k``, 0 <= K <= N.
 
     ``K = 0`` sums the whole spectrum (the trace, 2NW); ``K = N`` is 0.
     """
-    n = params.n
-    if not (0 <= K <= n):
-        raise ParameterError(f"need 0 <= K <= {n}, got {K}")
-    if K == n:
+    if _check_sum_index(params, K) == params.n:
         return 0.0
-    return tridiagonal_spectrum(params, K, n - 1).sum_lambdas()
+    return tridiagonal_spectrum(params, K, params.n - 1).sum_lambdas()
 
 
 def eigensum_head(params: ProlateParams, K: int) -> float:
-    """Sum of the leading eigenvalue defects ``sum_{k=0..K-1} (1 - lambda_k)``.
+    """Sum of the leading eigenvalue defects ``sum_{k=0..K-1} (1 - lambda_k)``, 0 <= K <= N.
 
     Sums the directly computed ``1 - lambda_k`` of one slice, so defects far
     below 1e-16 are not rounded away; entries at or past floor(2NW) are at
     least 1/2, so rounding them costs only ulps of a sum of at least 1/2.
     """
-    n = params.n
-    if not (0 <= K <= n):
-        raise ParameterError(f"need 0 <= K <= {n}, got {K}")
-    if K == 0:
+    if _check_sum_index(params, K) == 0:
         return 0.0
     return math.fsum(tridiagonal_spectrum(params, 0, K - 1).comp.tolist())
 
@@ -542,10 +536,9 @@ def proxy_width_interval(c: float, eps: float, n: int) -> tuple[int | None, int 
     floor (eps <= delta among such cases), in which case no upper estimate is
     certifiable. ``lo`` is None in the degenerate case eps + delta >= 1/2.
     Both counts come from one :func:`transition_widths` call on the proxy
-    instance.
+    instance. ``eps`` outside (0, 1/2) raises ParameterError.
     """
-    if not (0.0 < eps < 0.5):
-        raise ParameterError(f"eps must lie in (0, 1/2), got {eps}")
+    eps = _check_eps(eps)
     delta = proxy_delta(c, n)
     eps_lo, eps_hi = eps + delta, eps - delta
     counted = [thr for thr in (eps_lo, eps_hi) if RESOLUTION_FLOOR < thr < 0.5]

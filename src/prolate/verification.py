@@ -20,6 +20,7 @@ from .errors import ParameterError
 from .kernel import (
     RESOLUTION_FLOOR,
     ProlateParams,
+    _at_least,
     build_prolate_matrix,
     near_block_rows,
     sinc_identity_residual,
@@ -519,12 +520,10 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    """Run one named invariant suite (or 'all'); deterministic for a fixed seed."""
+    """Run one named invariant suite (or 'all'); deterministic for a fixed seed >= 0."""
+    _at_least("seed", seed, 0)
     if name == "all":
-        out: list[CheckResult] = []
-        for key in ("spectrum", "bounds", "displacement", "chebsinc"):
-            out.extend(_SUITES[key](seed))
-        return out
+        return [r for suite in _SUITES.values() for r in suite(seed)]
     if name not in _SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return _SUITES[name](seed)

@@ -298,3 +298,34 @@ def test_evaluate_bound_set_with_k_and_K():
     assert values["cor1_upper"] == eig_envelope(1000, 0.125, 300).upper
     assert values["cor2_tail"] == sum_bounds_cor2(1000, 0.125, 300, "tail")
     assert values["cor4_tail"] == pswf_sum_bounds(math.pi * 125.0, 300, "tail")
+
+
+def test_eq3_in_doubles_at_huge_n():
+    # N^2 is formed in doubles, so past N ~ 1.3e154 its term is 0, not an OverflowError
+    n = 10**155
+    value = width_bound_prior(n, 0.1, 1e-3, "eq3").value
+    expected = (math.log(2.0e154) / math.pi**2 + 0.45 - 2.0 / 3.0 * 0.01) / (1e-3 * (1 - 1e-3))
+    assert value == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "c, n",
+    [
+        (3.0, 10**103),  # N^3 past the largest double
+        (6e102, 4 * 10**102),  # c^3 past the largest double
+        (3.0, 10**309),  # N itself past it
+    ],
+)
+def test_proxy_delta_overflow_is_domain_error(c, n):
+    with pytest.raises(DomainError, match="proxy_delta overflows in double precision"):
+        proxy_delta(c, n)
+
+
+def test_evaluate_bound_set_sum_index():
+    # K >= 0 as before: past N only the continuous tail sum applies
+    values = evaluate_bound_set(100, 0.1, 1e-3, K=10**308)
+    assert values["cor4_tail"] == 0.0 and "cor2_tail" not in values
+    with pytest.raises(ParameterError, match="K must be >= 0, got -1"):
+        evaluate_bound_set(100, 0.1, 1e-3, K=-1)
+    with pytest.raises(ParameterError, match="K must fit in a double"):
+        evaluate_bound_set(100, 0.1, 1e-3, K=10**309)

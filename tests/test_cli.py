@@ -1,4 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -346,3 +352,186 @@ def test_float_formatting_17_digits(capsys):
     code, out, _ = run(capsys, "eigs", "--n", "1", "--w", "0.1")
     assert code == 0
     assert out.strip().splitlines()[1].split(",")[1] == "0.20000000000000001"
+
+
+# ------------------------------------------------------- input contract --
+
+BIG = str(10**309)  # 310 digits: more than any double holds
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # eigs
+        (["eigs", "--n", "abc", "--w", "0.1"], 2),
+        (["eigs", "--n", BIG, "--w", "0.1"], 2),
+        (["eigs", "--n", "64", "--w", "nan"], 2),
+        (["eigs", "--n", "64", "--w", "0.1", "--krange", "abc"], 2),
+        (["eigs", "--n", "64", "--w", "0.1", "--method", "inf"], 2),
+        (["eigs", "--n", "64", "--w", "0.1", "--format", ""], 2),
+        (["eigs", "--n", "64", "--w", "0.1", "--out", ""], 3),
+        # width
+        (["width", "--n", "-1", "--w", "0.1", "--eps", "1e-3"], 2),
+        (["width", "--n", str(10**155), "--w", "0.1", "--eps", "1e-3"], 2),
+        (["width", "--n", BIG, "--w", "0.1", "--eps", "1e-3"], 2),
+        (["width", "--n", "64", "--w", "inf", "--eps", "1e-3"], 2),
+        (["width", "--n", "64", "--w", "0.1", "--eps", "0"], 2),
+        (["width", "--n", "64", "--w", "0.1", "--eps", "1e-3", "--format", "nan"], 2),
+        (["width", "--n", "64", "--w", "0.1", "--eps", "1e-3", "--out", ""], 3),
+        # bounds
+        (["bounds", "--n", BIG, "--w", "0.1", "--eps", "1e-3"], 2),
+        (["bounds", "--n", "100", "--w", "", "--eps", "1e-3"], 2),
+        (["bounds", "--n", "100", "--w", "0.1", "--eps", "nan"], 2),
+        (["bounds", "--n", "100", "--w", "0.1", "--eps", "1e-3", "--k", "-1"], 2),
+        (["bounds", "--n", "100", "--w", "0.1", "--eps", "1e-3", "--k", "abc"], 2),
+        (["bounds", "--n", "100", "--w", "0.1", "--eps", "1e-3", "--K", "-1"], 2),
+        (["bounds", "--n", "100", "--w", "0.1", "--eps", "1e-3", "--K", BIG], 2),
+        (["bounds", "--n", "100", "--w", "0.1", "--eps", "1e-3", "--format", "abc"], 2),
+        (["bounds", "--n", "100", "--w", "0.1", "--eps", "1e-3", "--out", ""], 3),
+        # sweep
+        (["sweep", "--mode", "abc"], 2),
+        (["sweep", "--mode", "figure1", "--n", BIG], 2),
+        (["sweep", "--mode", "figure1", "--w", "nan"], 2),
+        (["sweep", "--mode", "figure2", "--n-min", "-1"], 2),
+        (["sweep", "--mode", "figure2", "--n-max", "nan"], 2),
+        (["sweep", "--mode", "figure3", "--n", "abc"], 2),
+        (["sweep", "--mode", "figure3", "--n", BIG, "--w-points", "3"], 2),
+        (["sweep", "--mode", "figure3", "--n", "64", "--w-points", "3", "--w-min", "inf"], 2),
+        (["sweep", "--mode", "figure3", "--n", "64", "--w-points", "3", "--w-max", "-1"], 2),
+        (["sweep", "--mode", "figure3", "--n", "64", "--w-points", "-1"], 2),
+        (["sweep", "--mode", "figure3", "--n", "64", "--w-points", BIG], 2),
+        (["sweep", "--mode", "custom", "--n", BIG, "--w", "0.1"], 2),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1", "--eps-list", "abc"], 2),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1", "--format", "0"], 2),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1", "--out", ""], 3),
+        # pswf
+        (["pswf", "--c", "0", "--eps", "1e-3"], 2),
+        (["pswf", "--c", "3", "--eps", "inf"], 2),
+        (["pswf", "--c", "3", "--eps", "1e-3", "--n", "-1"], 2),
+        (["pswf", "--c", "3", "--eps", "1e-3", "--n", BIG], 2),
+        (["pswf", "--c", "3", "--eps", "1e-3", "--n", str(10**103)], 2),
+        (["pswf", "--c", "6e102", "--eps", "1e-3", "--n", str(4 * 10**102)], 2),
+        (["pswf", "--c", "3", "--eps", "1e-3", "--format", "-1"], 2),
+        (["pswf", "--c", "3", "--eps", "1e-3", "--out", ""], 3),
+        # verify
+        (["verify", "--suite", "abc"], 2),
+        (["verify", "--seed", "-1"], 2),
+        (["verify", "--seed", "nan"], 2),
+        (["verify", "--suite", "displacement", "--out", ""], 3),
+    ],
+)
+def test_input_contract(capsys, argv, code):
+    # a malformed input gets its exit code and one line on stderr: no output,
+    # no traceback (an escaping exception fails the test) and no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("i/o error: " if code == 3 else "error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Warning" not in err
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--mode", "figure3", "--n", "64", "--w-points", "3", "--w-min", "inf"],
+        ["pswf", "--c", "6e102", "--eps", "1e-3", "--n", str(4 * 10**102)],
+    ],
+)
+def test_input_contract_in_a_fresh_process(argv):
+    # what a user sees: numpy warnings and tracebacks would both reach stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "prolate.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_sweep_checks_every_instance_before_computing(capsys, monkeypatch):
+    # figure 2 up to 10^309 doubles N past the largest double; that instance is
+    # refused before any width is computed (N = 2^24 alone would take minutes)
+    import prolate.spectrum as spectrum
+
+    def fail(params, eps_list):
+        raise AssertionError(f"computed N = {params.n} before every instance was checked")
+
+    monkeypatch.setattr(spectrum, "transition_widths", fail)
+    code, out, err = run(capsys, "sweep", "--mode", "figure2", "--n-max", BIG)
+    assert (code, out, err) == (2, "", "error: n must fit in a double, got 1025 bits\n")
+
+
+def test_bounds_at_huge_n_prints_finite_values(capsys):
+    # every closed form is finite at N = 10^155: in doubles, eq3's N^2 is inf
+    # and its term 0, where N**2 as an integer could not be converted
+    n = 10**155
+    code, out, err = run(capsys, "bounds", "--n", str(n), "--w", "0.1", "--eps", "1e-3")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert all(math.isfinite(float(v)) for v in values.values())
+    thm1 = 2 * math.ceil(math.log(4 * n) * math.log(4.0 / (1e-3 * (1 - 1e-3))) / math.pi**2)
+    assert int(values["thm1_int"]) == thm1
+    eq3 = (math.log(2 * n // 10) / math.pi**2 + 0.45 - 2.0 / 3.0 * 0.01) / (1e-3 * (1 - 1e-3))
+    assert float(values["eq3_boulsane"]) == pytest.approx(eq3, rel=1e-13)
+
+
+def test_bounds_acceptance_instance(capsys):
+    code, out, err = run(
+        capsys, "bounds", "--n", "1000", "--w", "0.125", "--eps", "1e-3", "--k", "250", "--K", "250"
+    )
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header == (
+        "N,W,eps,cor1_lower,cor1_upper,cor2_head,cor2_tail,cor3_lower,cor3_upper,"
+        "cor4_head,cor4_tail,eq2_zhuwakin,eq2_zhuwakin_int,eq3_boulsane,eq3_boulsane_int,"
+        "eq4_boulsane1,eq5_boulsane2,eq6_fst,eq6_fst_int,slepian_approx,"
+        "slepian_approx_advisory,thm1,thm1_int,thm2,thm2_int,thm3_pswf,thm3_pswf_int"
+    )
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert {key: val for key, val in fields.items() if key.endswith(("_int", "_advisory"))} == {
+        "eq2_zhuwakin_int": "1806",
+        "eq3_boulsane_int": "1000",
+        "eq6_fst_int": "185",
+        "slepian_approx_advisory": "false",
+        "thm1_int": "14",
+        "thm2_int": "23",
+        "thm3_pswf_int": "23",
+    }
+    # prior per-index bounds outside their validity print empty
+    assert fields["eq4_boulsane1"] == fields["eq5_boulsane2"] == ""
+
+
+def test_eigs_empty_run_prints_order_zero(capsys):
+    # no eigenvalue lies in (1e-13, 1 - 1e-13) at W = 1e-20: eigs lists lambda_0 alone
+    code, out, err = run(capsys, "eigs", "--n", "8", "--w", "1e-20")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+    assert float(lines[1].split(",")[1]) == pytest.approx(16e-20, rel=1e-12)  # about 2NW
+
+
+def test_sweep_config_comments_blank_lines_and_bad_line(capsys, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("# one instance\n\nmode = figure2  # W = 1/4\nn_min = 16\nn_max = 16\neps = 1e-2\n")
+    code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+    assert code == 0 and len(out.splitlines()) == 2
+    cfg.write_text("mode = figure2\nn_max 32\n")
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: bad config line: n_max 32\n")
+
+
+def test_eigensolver_failure_exit_four(capsys, monkeypatch):
+    # LAPACK's LinAlgError from the bisection surfaces as NumericalError, exit 4
+    import prolate.spectrum as spectrum
+    from scipy.linalg import LinAlgError
+
+    def fail(*args, **kwargs):
+        raise LinAlgError("stebz failed")
+
+    monkeypatch.setattr(spectrum, "eigvalsh_tridiagonal", fail)
+    code, out, err = run(capsys, "width", "--n", "64", "--w", "0.1", "--eps", "1e-2")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: tridiagonal eigensolver failed for orders ")
+    assert err.endswith("(n=64, w=0.1): stebz failed\n") and err.count("\n") == 1

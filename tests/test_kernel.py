@@ -5,6 +5,7 @@ import pytest
 
 from prolate import (
     CapacityError,
+    DomainError,
     ParameterError,
     ProlateParams,
     build_prolate_matrix,
@@ -14,7 +15,7 @@ from prolate import (
     sinc_kernel,
     toeplitz_apply,
 )
-from prolate.kernel import dense_cap
+from prolate.kernel import dense_cap, near_block_rows, snap_to_integer
 
 
 def test_params_validation():
@@ -151,3 +152,74 @@ def test_sinc_identity_validation():
         sinc_identity_residual(0.125, 0, 0, 0)
     with pytest.raises(ParameterError):
         sinc_identity_tail_bound(5, 7, 6)
+
+
+def _lower_bound_sites():
+    """Every count or index with a floor, each raising through the one helper."""
+    from prolate import (
+        ZolotarevSetPair,
+        build_xl,
+        cheb_interpolate,
+        lowrank_block_approx,
+        pswf_eig_envelope,
+        sinc_derivative_bound,
+        sv_decay_check,
+        width_bound_thm1,
+        zolotarev_bound,
+    )
+    from prolate.bounds import evaluate_bound_set
+    from prolate.cli import figure2_instances, figure3_instances
+    from prolate.displacement import partition_block_bound
+    from prolate.verification import run_suite
+
+    p = ProlateParams(64, 0.05)
+    pair = ZolotarevSetPair.symmetric(1.0, 2.0)
+    return [
+        ("n must be >= 1, got 0", lambda: ProlateParams(0, 0.1)),
+        ("n must be >= 1, got 0", lambda: width_bound_thm1(0, 1e-3)),
+        ("L must be >= 1, got 0", lambda: sinc_identity_residual(0.1, 0, 0, 0)),
+        ("L must be >= 1, got 0", lambda: build_xl(p, 0)),
+        ("k must be >= 0, got -1", lambda: partition_block_bound(-1)),
+        ("k must be >= 0, got -1", lambda: zolotarev_bound(pair, -1)),
+        ("k must be >= 0, got -1", lambda: sinc_derivative_bound(0.1, -1, 0.0)),
+        ("k must be >= 0, got -1", lambda: pswf_eig_envelope(10.0, -1)),
+        ("k must be >= 1, got 0", lambda: cheb_interpolate(0.1, 0, -2.0, -1.0, 0)),
+        ("k must be >= 1, got 0", lambda: lowrank_block_approx(p, 0)),
+        ("k_max must be >= 0, got -1", lambda: sv_decay_check(p, 4, -1)),
+        ("K must be >= 0, got -1", lambda: evaluate_bound_set(64, 0.05, 1e-3, K=-1)),
+        ("n_min must be >= 1, got 0", lambda: figure2_instances(0, 16)),
+        ("w_points must be >= 0, got -1", lambda: figure3_instances(64, 1e-3, 0.25, -1)),
+        ("seed must be >= 0, got -1", lambda: run_suite("bounds", seed=-1)),
+    ]
+
+
+@pytest.mark.parametrize("message, call", _lower_bound_sites())
+def test_lower_bounds_share_one_message(message, call):
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_params_reject_n_past_the_largest_double():
+    ProlateParams(int(np.finfo(float).max), 0.4)
+    with pytest.raises(ParameterError, match="n must fit in a double, got 1025 bits"):
+        ProlateParams(2**1024, 0.1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 2**16, 3**33, 2**60 + 1, 10**200])
+@pytest.mark.parametrize("w", [1e-300, 0.013, 0.125, 0.3, 0.5 - 2**-54])
+def test_time_bandwidth_is_the_double_of_2nw(n, w):
+    # formed as (2W)N, the same double as (2N)W wherever 2N is finite
+    assert ProlateParams(n, w).time_bandwidth == snap_to_integer(2.0 * n * w)
+
+
+def test_time_bandwidth_finite_up_to_the_largest_double():
+    p = ProlateParams(int(np.finfo(float).max), 0.5 - 2**-54)
+    assert math.isfinite(p.time_bandwidth) and p.tbp_floor > 0
+
+
+@pytest.mark.parametrize("w", [0.25, 0.3, 0.49])
+def test_near_block_rows_needs_w_below_quarter(w):
+    with pytest.raises(DomainError, match=r"needs W < 1/4, got W = "):
+        near_block_rows(w)
+

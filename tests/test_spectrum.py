@@ -596,3 +596,11 @@ def test_disjoint_ranges_are_consistent():
     full = tridiagonal_spectrum(p, 0, 127)
     glued = np.concatenate([part.lam for part in sequential])
     assert np.max(np.abs(glued - full.lam)) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, float("nan")])
+def test_proxy_width_interval_rejects_eps(eps):
+    from prolate.spectrum import proxy_width_interval
+
+    with pytest.raises(ParameterError, match=r"eps must lie in \(0, 1/2\), got "):
+        proxy_width_interval(math.pi * 50.0, eps, 2000)
