@@ -115,9 +115,10 @@ def _count_bound(name: str, value: float) -> BoundValue:
 def width_bound_thm1(n: int, eps: float) -> BoundValue:
     """Transition-width bound 2*ceil(log(4N)*log(4/(eps*(1-eps)))/pi^2).
 
-    Already an even integer; bandwidth-independent. Needs ``n >= 1``.
+    Already an even integer; bandwidth-independent. Needs ``n >= 1``, held
+    by a double.
     """
-    _at_least("n", n, 1)
+    _representable("n", _at_least("n", n, 1))
     eps = _check_eps(eps)
     half = _finite("thm1", math.log(4.0 * n) * math.log(4.0 / (eps * (1.0 - eps))) / _PI2)
     value = 2 * math.ceil(half)
@@ -328,7 +329,8 @@ def pswf_eig_envelope(c: float, k: int) -> EnvelopeBound:
     log(100c/pi + 25); the continuous case has no N so there is no log(4N)
     branch and no midpoint refinement.
     """
-    return _envelope(_pswf_law(_check_c(c)), _at_least("k", k, 0), midpoint=False)
+    law = _pswf_law(_check_c(c))
+    return _envelope(law, _representable("k", _at_least("k", k, 0)), midpoint=False)
 
 
 def pswf_sum_bounds(c: float, K: int, side: str) -> float:

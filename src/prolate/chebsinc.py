@@ -27,9 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _finite
 from .displacement import XL_ENTRY_CAP, partition_block_bound
 from .errors import CapacityError, ParameterError
-from .kernel import ProlateParams, _at_least, _check_w, near_block_rows, sinc_kernel
+from .kernel import (
+    ProlateParams,
+    _at_least,
+    _check_w,
+    _representable,
+    near_block_rows,
+    sinc_kernel,
+)
 
 __all__ = [
     "sinc_derivative_bound",
@@ -48,16 +56,21 @@ MONOMIAL_RANK_CAP = 8
 def sinc_derivative_bound(w: float, k: int, t) -> np.ndarray | float:
     """Bound (2 pi W)^k * min(2W/(k+1), 2/(pi|t|)) on the k-th sinc derivative.
 
-    At t = 0 the second branch is +inf, so the first rules; needs 0 < w < 1/2, k >= 0.
+    At t = 0 the second branch is +inf, so the first rules; needs 0 < w < 1/2
+    and k >= 0 held by a double. Where (2 pi W)^k overflows, DomainError.
     """
     _check_w(w)
-    _at_least("k", k, 0)
+    _representable("k", _at_least("k", k, 0))
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     with np.errstate(divide="ignore"):
         second = np.where(t == 0.0, np.inf, 2.0 / (math.pi * np.abs(t)))
-    out = (2.0 * math.pi * w) ** k * np.minimum(2.0 * w / (k + 1.0), second)
+    try:
+        growth = (2.0 * math.pi * w) ** k
+    except OverflowError:  # past the largest double: raised, not inf
+        growth = math.inf
+    out = _finite("sinc_derivative_bound", growth) * np.minimum(2.0 * w / (k + 1.0), second)
     return float(out[0]) if scalar else out
 
 

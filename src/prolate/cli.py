@@ -198,6 +198,8 @@ def _sweep_instance(params: ProlateParams, eps_list: list[float]) -> list[dict]:
 def sweep_rows(instances: list[tuple[int, float]], eps_list: list[float]) -> list[dict]:
     """Width sweep over (N, W) instances, all checked before any is computed; rows in order."""
     params = [ProlateParams(n, w) for n, w in instances]
+    for p in params:  # a width count computes one eigenvector of length N at a time
+        spec._check_entries(p.n, 1)
     return [row for p in params for row in _sweep_instance(p, eps_list)]
 
 

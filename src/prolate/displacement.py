@@ -29,6 +29,7 @@ from .errors import CapacityError, DomainError, ParameterError
 from .kernel import (
     ProlateParams,
     _at_least,
+    _representable,
     build_prolate_matrix,
     near_block_rows,
     sin_cos_2pi_product,
@@ -55,7 +56,8 @@ XL_ENTRY_CAP = 1 << 25
 
 def partition_block_bound(k: int) -> float:
     """Tail bound sqrt(5600/pi) * (pi/48)**k on sigma_{k+1} of a boundary block, k >= 0."""
-    return math.sqrt(5600.0 / math.pi) * (math.pi / 48.0) ** _at_least("k", k, 0)
+    k = _representable("k", _at_least("k", k, 0))
+    return math.sqrt(5600.0 / math.pi) * (math.pi / 48.0) ** k
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,10 @@ def zolotarev_bound(pair: ZolotarevSetPair, k: int) -> float:
 
     ``4*exp(-pi^2 k / log(4b/a))`` for the symmetric kind and
     ``4*exp(-pi^2 k / log(16*gamma))`` otherwise, for k >= 0. Only the bound
-    is computed, never the extremal rational function.
+    is computed, never the extremal rational function. A k past the largest
+    double raises ParameterError.
     """
-    _at_least("k", k, 0)
+    _representable("k", _at_least("k", k, 0))
     if pair.kind == "symmetric":
         a, b = pair.endpoints
         return 4.0 * math.exp(-math.pi**2 * k / math.log(4.0 * b / a))

@@ -39,11 +39,15 @@ below 1e-14 (worst seen 5.7e-15).
 A transition width needs only the two ends of the run in (eps, 1 - eps).
 Computed lambda_k is monotone in k, so :func:`transition_widths` searches k
 for each end, one eigenvalue per step, and shares those eigenvalues across
-its thresholds. logit(lambda_k) is nearly linear in k through the
-transition (Slepian, Bell Syst. Tech. J. 57, 1978: lambda_k ~ 1/(1 + e^(pi b))),
-so each step probes where the secant through the resolved eigenvalues
-nearest the threshold crosses it, and a width costs a few eigenvalues
-(about 9 at N = 2**16, eps = 1e-13).
+its thresholds. Through the transition logit(lambda_k) is nearly linear in
+k and odd about 2NW - 1/2 (Slepian, Bell Syst. Tech. J. 57, 1978:
+lambda_k ~ 1/(1 + e^(pi b))). So the first step of a search probes where
+that line crosses the threshold, each computed eigenvalue's mirror image
+about 2NW - 1/2 stands in for one at the other end of the run, and later
+steps probe where the secant through the points nearest the threshold
+crosses it. A width costs about the two orders that prove each end (4 at
+N = 2**16, eps = 1e-13). Neither the line nor the mirror decides a count;
+they only choose which order to compute next.
 
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
@@ -137,6 +141,9 @@ class TransitionReport:
     ``k_first``/``k_last`` delimit the run; both are None when it is empty.
     ``advisory`` is set when eps is at most ``ADVISORY_EPS``, near enough the
     eigenvalue resolution floor that the count carries a +-1 uncertainty.
+    ``probes`` lists the orders that the call computed, in the order it
+    computed them, shared by all thresholds of the call; it is a record of
+    the work, not of the result, and takes no part in comparisons.
     """
 
     params: ProlateParams
@@ -145,6 +152,7 @@ class TransitionReport:
     k_first: int | None
     k_last: int | None
     advisory: bool
+    probes: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 def _tridiag_bands(n: int, w: float) -> tuple[np.ndarray, np.ndarray]:
@@ -269,12 +277,20 @@ def _block_eigenvectors(
     return vecs
 
 
+@functools.lru_cache(maxsize=1)
+def _sinc_column(params: ProlateParams) -> np.ndarray:
+    """B's first column, shared (read-only) by the operators B and I - B of one instance."""
+    col = sinc_kernel(params.w, np.arange(params.n))
+    col.flags.writeable = False
+    return col
+
+
 @functools.lru_cache(maxsize=2)
 def _prolate_operator(params: ProlateParams, reflected: bool) -> SymmetricToeplitz:
     """B, or I - B when ``reflected``, as a Toeplitz operator; the two entries
     let the one-order probes of a width count share one kernel FFT per side.
     I - B negates B's sinc samples, and its entry 0 is fl(1 - 2W)."""
-    col = sinc_kernel(params.w, np.arange(params.n))
+    col = _sinc_column(params)
     if reflected:
         col = -col
         col[0] += 1.0
@@ -294,6 +310,19 @@ def dense_spectrum(params: ProlateParams) -> SpectrumSlice:
     """
     lam = np.clip(np.linalg.eigvalsh(build_prolate_matrix(params))[::-1], 0.0, 1.0)
     return SpectrumSlice(params, 0, params.n - 1, lam, 1.0 - lam, np.zeros(lam.shape, dtype=bool))
+
+
+def _check_entries(n: int, count: int) -> int:
+    """``count``, once ``count`` eigenvectors of length ``n`` fit the entry cap,
+    the dense route's n x n block (:func:`kernel.dense_cap` squared);
+    CapacityError past it."""
+    limit = dense_cap() ** 2
+    if n * count > limit:
+        raise CapacityError(
+            f"{count} eigenvector(s) of length {n} exceed the entry cap {limit} "
+            "(the dense cap squared)"
+        )
+    return count
 
 
 def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> SpectrumSlice:
@@ -319,13 +348,7 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
     n = params.n
     if not (0 <= kmin <= kmax <= n - 1):
         raise ParameterError(f"need 0 <= kmin <= kmax <= {n - 1}, got [{kmin}, {kmax}]")
-    count = kmax - kmin + 1
-    limit = dense_cap() ** 2
-    if n * count > limit:
-        raise CapacityError(
-            f"{count} eigenvectors of length {n} exceed the entry cap {limit} "
-            "(the dense cap squared); ask for fewer orders"
-        )
+    count = _check_entries(n, kmax - kmin + 1)
     vecs = _concentration_eigenvectors(params, kmin, kmax)
     head = min(max(params.tbp_floor - kmin, 0), count)  # orders below floor(2NW)
     lam = np.empty(count)
@@ -361,13 +384,21 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     k_first is the first order with 1 - lambda > eps and k_last the last with
     lambda > eps. Each end is found by one search over k, each step of which
     computes one eigenvalue (a probe). The search keeps the bracket that the
-    probes prove, last order outside the run and first inside, and probes
-    where the secant through the two resolved probes with logit(lambda_k)
-    nearest logit(eps) (or logit(1 - eps)) crosses that level: logit(lambda_k)
-    is nearly linear in k through the transition, so an end costs a probe or
-    two once the secant has two points. Probes with lambda or 1 - lambda at
-    the resolution floor count only by which side they fall on; where there
-    is no secant, or the last probe was such a one, the search bisects.
+    probes prove, last order outside the run and first inside, and a model
+    of logit(lambda_k) only picks which order inside it to probe next:
+    Slepian's line, logit(lambda_k) ~ -pi^2 (k - mid) / log(N sin(2 pi W))
+    with mid = 2NW - 1/2, which is odd about mid. The first probe of a
+    search sits where the line crosses the search's level, logit(1 - eps) or
+    logit(eps). Each resolved probe also gives a mirror point
+    (2 mid - k, -logit(lambda_k)) at the other end of the run, and later
+    probes sit where the secant through the two points (probes or mirror
+    points, at least an order apart) nearest the level crosses it. So the
+    second end usually costs only the two orders that prove it, and a width
+    about four probes. Probes with lambda or 1 - lambda at the resolution
+    floor count only by which side they fall on; after such a probe the
+    search bisects. Where the run is cut off at k = 0 or n - 1 the mirror is
+    wrong, which costs probes but changes no count: every count rests on
+    probes on both sides of each end.
 
     The searches start inside a cover of orders around 2NW, thm1 wide on
     each side, whose ends are taken to lie outside the run. An end is probed
@@ -395,6 +426,10 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     n = params.n
     probes: dict[int, tuple[float, float]] = {}
     logits: dict[int, float] = {}  # logit(lambda_k) of the probes above the floor
+    # Slepian's line, logit(lambda_k) ~ -(k - mid) / scale; where N sin(2 pi W) < 1
+    # the log would make it rise in k, and scale 0 puts every level at mid instead
+    mid = params.time_bandwidth - 0.5
+    scale = max(math.log(n * math.sin(2.0 * math.pi * params.w)), 0.0) / math.pi**2
 
     def probe(k: int) -> None:
         """Record (lambda_k, 1 - lambda_k) of an order not yet probed, one order per call."""
@@ -404,17 +439,21 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
             logits[k] = math.log(lam) - math.log(comp)
 
     def next_order(lo: int, hi: int, level: float) -> int:
-        """The order strictly inside (lo, hi) nearest where logit(lambda_k) crosses
-        ``level`` on the secant through the two resolved probes nearest that level.
-        The midpoint when there is no such pair, or when the last probe was
-        saturated: its value says nothing, and the secant would stall beside it."""
-        near = sorted(logits, key=lambda k: abs(logits[k] - level))[:2]
-        if len(near) == 2 and next(reversed(probes)) in logits:
-            (k1, x1), (k2, x2) = ((k, logits[k]) for k in near)
-            if x1 != x2:
-                k = k1 + (level - x1) * (k2 - k1) / (x2 - x1)
-                return round(min(max(k, lo + 1), hi - 1))
-        return (lo + hi) // 2
+        """The order strictly inside (lo, hi) nearest where logit(lambda_k) is
+        predicted to cross ``level``: on the secant through the two points
+        (resolved probes and their mirror points) nearest that level that lie
+        an order or more apart, else on Slepian's line through the nearest
+        point, or through (mid, 0) before any probe resolves. The
+        midpoint after a saturated probe: its value says nothing, and a
+        prediction would stall beside it."""
+        if probes and next(reversed(probes)) not in logits:
+            return (lo + hi) // 2
+        points = [*logits.items(), *((2.0 * mid - k, -x) for k, x in logits.items())]
+        points.sort(key=lambda point: abs(point[1] - level))
+        k1, x1 = points[0] if points else (mid, 0.0)
+        k2, x2 = next(((k, x) for k, x in points if abs(k - k1) >= 1.0), (k1, x1))
+        dk = (k2 - k1) / (x2 - x1) if x2 != x1 else -scale  # per unit of logit
+        return round(min(max(k1 + (level - x1) * dk, lo + 1), hi - 1))
 
     # the cover: the run is no wider than thm1 and straddles the orders around 2NW
     center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
@@ -450,13 +489,14 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
         first = first_inside(lambda k: probes[k][1] > eps, level)
         stop = first_inside(lambda k: probes[k][0] <= eps, -level)
         runs[eps] = (first, stop - 1)
-    reports = []
+    reports, probed = [], tuple(probes)
     for eps in eps_list:
         k_first, k_last = runs[eps]
         width = max(k_last - k_first + 1, 0)
         if not width:
             k_first = k_last = None
-        reports.append(TransitionReport(params, eps, width, k_first, k_last, eps <= ADVISORY_EPS))
+        advisory = eps <= ADVISORY_EPS
+        reports.append(TransitionReport(params, eps, width, k_first, k_last, advisory, probed))
     return reports
 
 

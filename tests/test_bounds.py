@@ -329,3 +329,16 @@ def test_evaluate_bound_set_sum_index():
         evaluate_bound_set(100, 0.1, 1e-3, K=-1)
     with pytest.raises(ParameterError, match="K must fit in a double"):
         evaluate_bound_set(100, 0.1, 1e-3, K=10**309)
+
+
+def test_thm1_refuses_n_past_the_largest_double():
+    # 4.0 * N could not be formed: the N that ProlateParams refuses, refused here too
+    with pytest.raises(ParameterError, match="n must fit in a double, got 1027 bits"):
+        width_bound_thm1(10**309, 1e-3)
+
+
+def test_pswf_envelope_refuses_k_past_the_largest_double():
+    with pytest.raises(ParameterError, match="k must fit in a double, got 1027 bits"):
+        pswf_eig_envelope(10.0, 10**309)
+    # a k that a double holds lies far out in the tail, where the margin is 0
+    assert pswf_eig_envelope(10.0, 10**300).upper == 0.0

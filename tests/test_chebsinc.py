@@ -85,6 +85,15 @@ class TestDerivativeBound:
         with pytest.raises(ParameterError):
             sinc_derivative_bound(0.1, -1, 0.0)
 
+    def test_overflow(self):
+        # (2 pi W)^k past the largest double is a closed form that overflows;
+        # below 1 it underflows to the bound 0, and a k no double holds is refused
+        with pytest.raises(DomainError, match="sinc_derivative_bound overflows in double"):
+            sinc_derivative_bound(0.3, 10**4, 0.0)
+        assert sinc_derivative_bound(0.1, 10**4, 0.0) == 0.0
+        with pytest.raises(ParameterError, match="k must fit in a double, got 1027 bits"):
+            sinc_derivative_bound(0.1, 10**309, 0.0)
+
 
 class TestChebInterpolant:
     def test_node_formula(self):

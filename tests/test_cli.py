@@ -418,6 +418,10 @@ BIG = str(10**309)  # 310 digits: more than any double holds
         (["verify", "--seed", "-1"], 2),
         (["verify", "--seed", "nan"], 2),
         (["verify", "--suite", "displacement", "--out", ""], 3),
+        # an N past the entry cap in a sweep (alone here, so that a sweep that
+        # computed the instances before it would still end at once)
+        (["sweep", "--mode", "figure2", "--n-min", str(2**25), "--n-max", str(2**30)], 2),
+        (["sweep", "--mode", "custom", "--n", str(2**25), "--w", "0.1"], 2),
     ],
 )
 def test_input_contract(capsys, argv, code):
@@ -460,6 +464,30 @@ def test_sweep_checks_every_instance_before_computing(capsys, monkeypatch):
     monkeypatch.setattr(spectrum, "transition_widths", fail)
     code, out, err = run(capsys, "sweep", "--mode", "figure2", "--n-max", BIG)
     assert (code, out, err) == (2, "", "error: n must fit in a double, got 1025 bits\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "figure2", "--n-max", str(2**30)],
+        ["--mode", "custom", "--n", f"64,{2**25}", "--w", "0.1"],
+    ],
+)
+def test_sweep_checks_the_entry_cap_before_computing(capsys, monkeypatch, argv):
+    # N = 2^25 holds more entries than the cap even one order at a time; it is
+    # refused before the smaller instances take minutes and gigabytes
+    import prolate.spectrum as spectrum
+
+    def fail(params, eps_list):
+        raise AssertionError(f"computed N = {params.n} before every instance was checked")
+
+    monkeypatch.setattr(spectrum, "transition_widths", fail)
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: 1 eigenvector(s) of length 33554432 exceed the entry cap 16777216 "
+        "(the dense cap squared)\n"
+    )
 
 
 def test_bounds_at_huge_n_prints_finite_values(capsys):

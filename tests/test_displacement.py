@@ -6,6 +6,7 @@ import pytest
 from prolate import (
     CapacityError,
     DomainError,
+    ParameterError,
     ProlateParams,
     build_xl,
     gram_defect,
@@ -26,6 +27,15 @@ class TestZolotarevPairs:
             ZolotarevSetPair.unbounded(-1.0, 0.0, 9.0, 10.0),
         ):
             assert zolotarev_bound(pair, 0) == 4.0
+
+    def test_k_past_the_largest_double(self):
+        pair = ZolotarevSetPair.symmetric(1.0, 4.0)
+        with pytest.raises(ParameterError, match="k must fit in a double, got 1027 bits"):
+            zolotarev_bound(pair, 10**309)
+        with pytest.raises(ParameterError, match="k must fit in a double, got 1027 bits"):
+            partition_block_bound(10**309)
+        # a k that a double holds: the bounds decay to 0
+        assert zolotarev_bound(pair, 10**300) == 0.0 == partition_block_bound(10**300)
 
     def test_symmetric_oracle(self):
         # 4*exp(-3*pi^2/log 16), 50-digit evaluation

@@ -156,6 +156,41 @@ def test_tridiagonal_at_float_limit_bandwidths(n, w, eps_list):
         assert run == _count_run(full, report.eps), (report, run)
 
 
+@st.composite
+def _edge_instances(draw):
+    """(N, W) where the width search's model misleads: 2NW below 3, where the
+    run is cut off at k = 0 and its ends are not mirror images about
+    2NW - 1/2, or W within 1e-9 of 0 or 1/2; and any W."""
+    n = draw(st.integers(1, 600))
+    w = draw(
+        st.one_of(
+            _log_uniform(1e-3, 3.0).map(lambda tbp: tbp / (2.0 * n)),
+            float_limit_bandwidths,
+            bandwidths,
+        )
+    )
+    assume(w < 0.5)
+    return ProlateParams(n, w)
+
+
+near_floor = st.floats(RESOLUTION_FLOOR, 1e-14, exclude_min=True)
+edge_thresholds = st.lists(st.one_of(near_floor, thresholds), min_size=1, max_size=3)
+
+
+@budget(60)
+@given(p=_edge_instances(), eps_list=edge_thresholds)
+def test_transition_widths_match_full_spectrum_count_at_the_edges(p, eps_list):
+    # the model only picks the next order; the counts rest on the probes, which
+    # never repeat an order, also just above the resolution floor
+    full = tridiagonal_spectrum(p, 0, p.n - 1)
+    reports = transition_widths(p, eps_list)
+    probes = reports[0].probes
+    assert len(set(probes)) == len(probes), probes
+    for report in reports:
+        run = (report.width, report.k_first, report.k_last)
+        assert run == _count_run(full, report.eps), (report, run)
+
+
 @budget(200)
 @given(n=st.integers(1, 2**20), w=bandwidths, eps=thresholds)
 def test_thm3_equals_thm2_at_matched_c(n, w, eps):

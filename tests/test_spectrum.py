@@ -465,10 +465,10 @@ def test_transition_width_at_two_pow_16():
 
 
 def test_transition_width_probe_budget(monkeypatch):
-    # each probe computes one order. logit(lambda_k) is nearly linear in k
-    # through the transition, so once two probes have resolved values, a
-    # secant lands each end of a run within a probe or two: 9 probes for one
-    # eps at N = 2^16, and 14 for three
+    # each probe computes one order. Slepian's line places both ends of a run
+    # before any probe, and each resolved probe's mirror image about
+    # 2NW - 1/2 stands in for a probe at the other end, so a width costs the
+    # two orders that prove each end: 4 for one eps at N = 2^16, 13 for three
     import prolate.spectrum as spectrum
 
     calls = []
@@ -480,14 +480,59 @@ def test_transition_width_probe_budget(monkeypatch):
 
     monkeypatch.setattr(spectrum, "tridiagonal_spectrum", counting)
     p = ProlateParams(65536, 0.25)
-    assert transition_width(p, 1e-13).width == 68
+    report = transition_width(p, 1e-13)
+    assert report.width == 68
+    assert report.probes == tuple(kmin for kmin, _ in calls)
     assert all(kmin == kmax for kmin, kmax in calls), calls
-    assert len(calls) <= 9, calls
+    assert len(report.probes) <= 4, report.probes
 
-    calls.clear()
     reports = transition_widths(p, [1e-3, 1e-8, 1e-13])
     assert [r.width for r in reports] == [18, 44, 68]
-    assert len(calls) <= 14, calls
+    assert all(r.probes == reports[0].probes for r in reports)
+    assert len(reports[0].probes) <= 13, reports[0].probes
+    assert len(set(reports[0].probes)) == len(reports[0].probes)
+
+
+def test_transition_width_probe_budget_over_figure3():
+    # the 101-instance desk figure 3 (N = 2^12, W log-spaced in [2^-10, 2^-2],
+    # three eps): 1504 probes when each search started by bisecting, 1302 now;
+    # no order is probed twice
+    total = 0
+    for w in np.geomspace(2.0**-10, 2.0**-2, 101):
+        probes = transition_widths(ProlateParams(4096, float(w)), [1e-3, 1e-8, 1e-13])[0].probes
+        assert len(set(probes)) == len(probes), (w, probes)
+        total += len(probes)
+    assert total <= 1310
+
+
+def test_transition_width_probe_where_the_run_is_cut_off():
+    # with N sin(2 pi W) < 1 the line is held at 2NW - 1/2, not turned to rise
+    # in k: here 2NW ~ 3e-76, so one probe at k = 0 proves the run empty
+    report = transition_width(ProlateParams(583, 2.754681989571331e-79), 1e-3)
+    assert (report.width, report.probes) == (0, (0,))
+
+
+def test_width_count_evaluates_the_sinc_column_once(monkeypatch):
+    # B and I - B share one sinc column; each builds its own kernel FFT
+    import prolate.spectrum as spectrum
+
+    calls = []
+    evaluate = spectrum.sinc_kernel
+    monkeypatch.setattr(spectrum, "sinc_kernel", lambda w, t: calls.append(w) or evaluate(w, t))
+    spectrum._sinc_column.cache_clear()
+    spectrum._prolate_operator.cache_clear()
+    p = ProlateParams(1000, 0.125)
+    probes = transition_width(p, 1e-3).probes
+    assert min(probes) < p.tbp_floor <= max(probes)  # both operators were used
+    assert calls == [0.125]
+
+
+def test_transition_report_probes_stay_out_of_comparisons():
+    # the record of the work neither shows in repr nor splits equal reports
+    p = ProlateParams(1000, 0.125)
+    alone, shared = transition_width(p, 1e-3), transition_widths(p, [1e-8, 1e-3])[1]
+    assert alone.probes != shared.probes and alone == shared
+    assert "probes" not in repr(alone)
 
 
 @pytest.mark.parametrize("n, w", [(64, 0.25), (300, 0.05), (777, 0.4), (1000, 0.125)])
