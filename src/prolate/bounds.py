@@ -116,11 +116,13 @@ def width_bound_thm1(n: int, eps: float) -> BoundValue:
     """Transition-width bound 2*ceil(log(4N)*log(4/(eps*(1-eps)))/pi^2).
 
     Already an even integer; bandwidth-independent. Needs ``n >= 1``, held
-    by a double.
+    by a double. log(4N) is taken as log 4 + log N, which stays finite where
+    4N would overflow.
     """
     _representable("n", _at_least("n", n, 1))
     eps = _check_eps(eps)
-    half = _finite("thm1", math.log(4.0 * n) * math.log(4.0 / (eps * (1.0 - eps))) / _PI2)
+    log_4n = math.log(4.0) + math.log(n)
+    half = _finite("thm1", log_4n * math.log(4.0 / (eps * (1.0 - eps))) / _PI2)
     value = 2 * math.ceil(half)
     return BoundValue(float(value), int(value))
 

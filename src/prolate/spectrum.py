@@ -23,6 +23,17 @@ of the prolate matrix:
   its Rayleigh quotient against B, formed with a fast Toeplitz matvec and one
   dot product per column.
 
+A slice bisects by index, which first narrows the whole block down to about
+ulp * ||T||. A one-order probe of a width search bisects by value inside a
+window predicted to hold its T-eigenvalue chi_k instead: through the
+transition chi_k is nearly linear in logit(lambda_k), with slope
+N sin(2 pi W)/(2 pi) and value (N^2 - 1)/4 cos(2 pi W) at lambda = 1/2. The
+eigenvalue found there is taken only when LAPACK's Sturm counts prove it is
+index k // 2 of its block: exactly one in the window and exactly k // 2
+above it. Otherwise the probe bisects by index as a slice does, so a wrong
+prediction costs time, never a wrong order. At N = 2**16 a probe costs
+about 17 ms instead of 26.
+
 Eigenvalues above 1/2 are reflected exactly. With D = diag((-1)**i), the
 instance at bandwidth 1/2 - W has T(1/2 - W) = -D T(W) D and prolate matrix
 D (I - B) D, so its order N-1-k has the vector D s of order k here and the
@@ -65,7 +76,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 # not called here; bench/tracing.py wraps this module-level name
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
-from scipy.linalg.lapack import dstein
+from scipy.linalg.lapack import dstebz, dstein
 
 from .bounds import proxy_delta, width_bound_thm1
 from .errors import CapacityError, NumericalError, ParameterError
@@ -209,44 +220,80 @@ def _mirror(block: np.ndarray, n: int, parity: int) -> np.ndarray:
     return full / np.linalg.norm(full, axis=0)
 
 
-def _concentration_eigenvectors(params: ProlateParams, klo: int, khi: int) -> np.ndarray:
-    """T-eigenvectors for concentration orders klo..khi, as columns in k order.
+@functools.lru_cache(maxsize=1)
+def _parity_blocks(params: ProlateParams) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+    """Bands (read-only) of T's parity blocks 0 and 1, each with a bound above
+    its eigenvalues (twice the block's infinity norm), built once per instance
+    and shared by all the probes of a width count."""
+    diag, off = _tridiag_bands(params.n, params.w)
+    blocks = []
+    for parity in (0, 1):
+        d, e = _parity_block(diag, off, parity)
+        d.flags.writeable = e.flags.writeable = False
+        norm = np.max(np.abs(d), initial=0.0) + 2.0 * np.max(np.abs(e), initial=0.0)
+        blocks.append((d, e, 2.0 * float(norm)))
+    return tuple(blocks)
+
+
+def _concentration_eigenvectors(
+    params: ProlateParams, klo: int, khi: int, window: tuple[float, float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """T-eigenvalues and T-eigenvectors for concentration orders klo..khi, in
+    k order (the vectors as columns).
 
     Order k has parity (-1)**k and belongs to the (k // 2)-th largest
     eigenvalue of the parity block k % 2, so each order is bisected for and
-    solved in a tridiagonal of about n/2.
+    solved in a tridiagonal of about n/2. A one-order call may name a
+    ``window`` predicted to hold that T-eigenvalue: it is bisected for there
+    first, and taken only where Sturm counts prove it is the order's (see
+    :func:`_block_eigenvectors`).
     """
     n = params.n
-    diag, off = _tridiag_bands(n, params.w)
     # coarse shifts: a block's eigenvalues are those of orders k and k + 2, whose
     # gaps are smallest near order 2NW, where they are at least 0.23 * n *
     # sin(2 pi W) up to n = 2**16 (twice the gap between adjacent orders), so
     # each shift misses its eigenvalue by under 1e-4 of the gap to the
     # nearest other eigenvalue of its block
     tol = n * math.sin(2.0 * math.pi * params.w) / 2.0**16
-    vecs = np.empty((n, khi - klo + 1))
-    for parity in (0, 1):
+    chis, vecs = np.empty(khi - klo + 1), np.empty((n, khi - klo + 1))
+    for parity, block in enumerate(_parity_blocks(params)):
         first = klo + (klo + parity) % 2  # first order >= klo of this parity
         if first > khi:
             continue
         try:
-            block = _block_eigenvectors(
-                *_parity_block(diag, off, parity), first // 2, (khi - parity) // 2, tol
+            shifts, half = _block_eigenvectors(
+                *block, first // 2, (khi - parity) // 2, tol, window if klo == khi else None
             )
         except LinAlgError as exc:
             raise NumericalError(
                 f"tridiagonal eigensolver failed for orders {klo}..{khi} "
                 f"(n={n}, w={params.w}): {exc}"
             ) from exc
-        vecs[:, first - klo :: 2] = _mirror(block, n, parity)
-    return vecs
+        chis[first - klo :: 2] = shifts
+        vecs[:, first - klo :: 2] = _mirror(half, n, parity)
+    return chis, vecs
+
+
+def _stebz_by_value(diag: np.ndarray, off: np.ndarray, vl: float, vu: float, tol: float) -> np.ndarray:
+    """The block's eigenvalues in (vl, vu], bisected to ``tol`` (LAPACK ``stebz``)."""
+    m, w, _, _, info = dstebz(diag, off, 1, vl, vu, 0, 0, tol, "E")
+    if info != 0:
+        raise NumericalError(f"LAPACK stebz failed in ({vl}, {vu}] (info={info})")
+    return w[:m]
 
 
 def _block_eigenvectors(
-    diag: np.ndarray, off: np.ndarray, jlo: int, jhi: int, tol: float
-) -> np.ndarray:
-    """Eigenvectors for the jlo-th..jhi-th largest eigenvalues of one block, as
-    columns in descending eigenvalue order.
+    diag: np.ndarray,
+    off: np.ndarray,
+    upper: float,
+    jlo: int,
+    jhi: int,
+    tol: float,
+    window: tuple[float, float] | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors for the jlo-th..jhi-th largest eigenvalues
+    of one block (all below ``upper``), in descending eigenvalue order, the
+    vectors as columns.
 
     Coarse bisection gives one shift per eigenvalue, and LAPACK ``stein``
     (inverse iteration, which perturbs a singular shift itself) turns each
@@ -256,15 +303,31 @@ def _block_eigenvectors(
     whole slice, while same-parity neighbours are two orders apart and need
     none of it. The block is one unreduced block: its off-diagonals, those of
     T, never vanish.
+
+    Bisection by index first bisects the whole block down to about ulp times
+    its norm, whatever ``tol`` says. So a one-index call with a ``window``
+    (vl, vu) bisects by value inside it instead, and takes its eigenvalue
+    when LAPACK's Sturm counts prove it is index jlo: exactly one eigenvalue
+    in (vl, vu] and exactly jlo in (vu, upper]. Otherwise, or with no
+    window, it bisects by index.
     """
     size = diag.size
     if size == 1:
-        return np.ones((1, 1))
-    # ascending block order runs against k; flip so column j is index jlo + j
-    lo, hi = size - 1 - jhi, size - 1 - jlo
-    shifts = eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol
-    )[::-1]
+        return diag.copy(), np.ones((1, 1))
+    shifts = None
+    if window is not None and window[0] < window[1]:
+        vl, vu = window
+        found = _stebz_by_value(diag, off, vl, vu, tol)
+        if found.size == 1 and (
+            _stebz_by_value(diag, off, vu, upper, upper - vu).size if vu < upper else 0
+        ) == jlo:
+            shifts = found
+    if shifts is None:
+        # ascending block order runs against k; flip so column j is index jlo + j
+        lo, hi = size - 1 - jhi, size - 1 - jlo
+        shifts = eigvalsh_tridiagonal(
+            diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol
+        )[::-1]
     iblock, isplit = np.ones(size, dtype=np.int32), np.full(size, size, dtype=np.int32)
     vecs = np.empty((size, shifts.size))
     for j in range(shifts.size):
@@ -274,7 +337,7 @@ def _block_eigenvectors(
                 f"LAPACK stein did not converge at shift {shifts[j]} (info={info})"
             )
         vecs[:, j] = vec[:, 0]
-    return vecs
+    return shifts, vecs
 
 
 @functools.lru_cache(maxsize=1)
@@ -348,8 +411,17 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
     n = params.n
     if not (0 <= kmin <= kmax <= n - 1):
         raise ParameterError(f"need 0 <= kmin <= kmax <= {n - 1}, got [{kmin}, {kmax}]")
-    count = _check_entries(n, kmax - kmin + 1)
-    vecs = _concentration_eigenvectors(params, kmin, kmax)
+    return _solve_slice(params, kmin, kmax)[0]
+
+
+def _solve_slice(
+    params: ProlateParams, kmin: int, kmax: int, window: tuple[float, float] | None = None
+) -> tuple[SpectrumSlice, np.ndarray]:
+    """:func:`tridiagonal_spectrum` of an index range already checked, with
+    the orders' T-eigenvalues chi_k; a one-order call may name a ``window``
+    predicted to hold chi_k (see :func:`_concentration_eigenvectors`)."""
+    count = _check_entries(params.n, kmax - kmin + 1)
+    chis, vecs = _concentration_eigenvectors(params, kmin, kmax, window)
     head = min(max(params.tbp_floor - kmin, 0), count)  # orders below floor(2NW)
     lam = np.empty(count)
     comp = np.empty(count)
@@ -359,7 +431,7 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
         own, other = (comp, lam) if reflected else (lam, comp)
         own[cols] = np.clip(_rayleigh_quotients(params, vecs[:, cols], reflected), 0.0, 1.0)
         other[cols] = 1.0 - own[cols]
-    return SpectrumSlice(params, kmin, kmax, lam, comp, np.arange(count) < head)
+    return SpectrumSlice(params, kmin, kmax, lam, comp, np.arange(count) < head), chis
 
 
 def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | None]:
@@ -430,29 +502,53 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     # the log would make it rise in k, and scale 0 puts every level at mid instead
     mid = params.time_bandwidth - 0.5
     scale = max(math.log(n * math.sin(2.0 * math.pi * params.w)), 0.0) / math.pi**2
+    # through a run the T-eigenvalue chi_k is nearly linear in logit(lambda_k),
+    # with this slope, and (N^2 - 1)/4 cos(2 pi W) at logit 0 (within 0.05 of
+    # an order's spacing where measured, N >= 256 and W >= 1e-3); anchors:
+    # order -> (logit, chi) on that line
+    chi_per_logit = n * math.sin(2.0 * math.pi * params.w) / (2.0 * math.pi)
+    anchors = {mid: (0.0, (n - 1.0) * (n + 1.0) / 4.0 * math.cos(2.0 * math.pi * params.w))}
 
-    def probe(k: int) -> None:
-        """Record (lambda_k, 1 - lambda_k) of an order not yet probed, one order per call."""
-        slc = tridiagonal_spectrum(params, k, k)
-        lam, comp = probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
-        if min(lam, comp) > RESOLUTION_FLOOR:
-            logits[k] = math.log(lam) - math.log(comp)
-
-    def next_order(lo: int, hi: int, level: float) -> int:
-        """The order strictly inside (lo, hi) nearest where logit(lambda_k) is
-        predicted to cross ``level``: on the secant through the two points
-        (resolved probes and their mirror points) nearest that level that lie
-        an order or more apart, else on Slepian's line through the nearest
-        point, or through (mid, 0) before any probe resolves. The
-        midpoint after a saturated probe: its value says nothing, and a
-        prediction would stall beside it."""
-        if probes and next(reversed(probes)) not in logits:
-            return (lo + hi) // 2
+    def model(level: float) -> tuple[float, float, float]:
+        """A point (k1, x1) and the slope dk (orders per unit of logit) of the
+        line that predicts logit(lambda_k) near ``level``: the secant through
+        the two points (resolved probes and their mirror points) nearest that
+        level that lie an order or more apart, else Slepian's line through the
+        nearest point, or through (mid, 0) before any probe resolves."""
         points = [*logits.items(), *((2.0 * mid - k, -x) for k, x in logits.items())]
         points.sort(key=lambda point: abs(point[1] - level))
         k1, x1 = points[0] if points else (mid, 0.0)
         k2, x2 = next(((k, x) for k, x in points if abs(k - k1) >= 1.0), (k1, x1))
-        dk = (k2 - k1) / (x2 - x1) if x2 != x1 else -scale  # per unit of logit
+        return k1, x1, (k2 - k1) / (x2 - x1) if x2 != x1 else -scale
+
+    def probe(k: int, level: float) -> None:
+        """Record (lambda_k, 1 - lambda_k) of an order not yet probed, one order
+        per call. chi_k is sought first in a window 0.9 of an order's spacing
+        (chi_per_logit / |dk|) to each side of its prediction: the model's
+        logit at k, mapped to chi through the anchor nearest k."""
+        window = None
+        k1, x1, dk = model(level)
+        if dk:
+            x, chi = anchors[min(anchors, key=lambda a: abs(a - k))]
+            centre = chi + chi_per_logit * (x1 + (k - k1) / dk - x)
+            # at most N sin(2 pi W), about 4 of the smallest gaps between a
+            # block's eigenvalues (see _concentration_eigenvectors): where dk
+            # is near 0 a window then holds at most 9 of them, not the block
+            half = chi_per_logit * min(0.9 / abs(dk), 2.0 * math.pi)
+            window = (centre - half, centre + half)
+        slc, chis = _solve_slice(params, k, k, window)
+        lam, comp = probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
+        if min(lam, comp) > RESOLUTION_FLOOR:
+            logits[k] = math.log(lam) - math.log(comp)
+            anchors[k] = (logits[k], float(chis[0]))
+
+    def next_order(lo: int, hi: int, level: float) -> int:
+        """The order strictly inside (lo, hi) nearest where the model's line
+        crosses ``level``. The midpoint after a saturated probe: its value
+        says nothing, and a prediction would stall beside it."""
+        if probes and next(reversed(probes)) not in logits:
+            return (lo + hi) // 2
+        k1, x1, dk = model(level)
         return round(min(max(k1 + (level - x1) * dk, lo + 1), hi - 1))
 
     # the cover: the run is no wider than thm1 and straddles the orders around 2NW
@@ -473,11 +569,11 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
             b = center_hi + reach if center_hi + reach < n - 1 else n
             lo_c, hi_c = max(lo, a), min(hi, b)
             if hi_c - lo_c > 1:
-                probe(next_order(lo_c, hi_c, level))
+                probe(next_order(lo_c, hi_c, level), level)
             elif (lo_c, hi_c) == (lo, hi):
                 return hi
             elif (end := a if lo_c > lo else b) not in probes:
-                probe(end)
+                probe(end, level)
             else:
                 reach *= 2
 

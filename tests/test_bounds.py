@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ class TestWidthBoundThm1:
         for n in (1, 2, 10, 10**6):
             for eps in (1e-15, 1e-3, 0.25, 0.4999):
                 assert width_bound_thm1(n, eps).integer >= 2
+
+    @pytest.mark.parametrize(
+        "n", [1, 1000, 2**53 + 1, 10**200, 10**308, int(sys.float_info.max)]
+    )
+    @pytest.mark.parametrize("eps", [1e-13, 1e-3, 0.25])
+    def test_mpmath_oracle_up_to_the_largest_double(self, n, eps):
+        # log 4 + log N, never log(4.0 * N), which overflows past a quarter of
+        # the largest double: 1196 at N = 10^308, eps = 1e-3
+        with mpmath.workdps(50):
+            half = mpmath.log(4 * n) * mpmath.log(4 / (eps * (1 - mpmath.mpf(eps)))) / mpmath.pi**2
+        assert abs(half - mpmath.nint(half)) > 1e-9  # no tie for the double formula to break
+        expected = 2 * int(mpmath.ceil(half))
+        assert width_bound_thm1(n, eps) == (float(expected), expected)
+        if (n, eps) == (10**308, 1e-3):
+            assert expected == 1196
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -332,7 +349,7 @@ def test_evaluate_bound_set_sum_index():
 
 
 def test_thm1_refuses_n_past_the_largest_double():
-    # 4.0 * N could not be formed: the N that ProlateParams refuses, refused here too
+    # the N that ProlateParams refuses, refused here too
     with pytest.raises(ParameterError, match="n must fit in a double, got 1027 bits"):
         width_bound_thm1(10**309, 1e-3)
 

@@ -329,10 +329,10 @@ def test_numerical_error_exit_four(capsys, monkeypatch):
     import prolate.spectrum as spectrum
     from prolate import NumericalError
 
-    def fail(params, kmin, kmax):
+    def fail(params, kmin, kmax, window=None):
         raise NumericalError("probe did not converge")
 
-    monkeypatch.setattr(spectrum, "tridiagonal_spectrum", fail)
+    monkeypatch.setattr(spectrum, "_solve_slice", fail)  # each width probe's solve
     code, out, err = run(capsys, "width", "--n", "64", "--w", "0.1", "--eps", "1e-2")
     assert code == 4
     assert out == ""
@@ -551,7 +551,9 @@ def test_sweep_config_comments_blank_lines_and_bad_line(capsys, tmp_path):
 
 
 def test_eigensolver_failure_exit_four(capsys, monkeypatch):
-    # LAPACK's LinAlgError from the bisection surfaces as NumericalError, exit 4
+    # LAPACK's LinAlgError from the bisection by index surfaces as
+    # NumericalError, exit 4; a slice bisects by index (a width probe first
+    # bisects in a predicted window, see test_stebz_window_failure_raises)
     import prolate.spectrum as spectrum
     from scipy.linalg import LinAlgError
 
@@ -559,7 +561,7 @@ def test_eigensolver_failure_exit_four(capsys, monkeypatch):
         raise LinAlgError("stebz failed")
 
     monkeypatch.setattr(spectrum, "eigvalsh_tridiagonal", fail)
-    code, out, err = run(capsys, "width", "--n", "64", "--w", "0.1", "--eps", "1e-2")
+    code, out, err = run(capsys, "eigs", "--n", "64", "--w", "0.1")
     assert (code, out) == (4, "")
     assert err.startswith("error: tridiagonal eigensolver failed for orders ")
     assert err.endswith("(n=64, w=0.1): stebz failed\n") and err.count("\n") == 1

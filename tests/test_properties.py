@@ -94,23 +94,62 @@ def _bisection_runs(p: ProlateParams, eps_list: list[float]) -> tuple[dict, int]
 @budget(40)
 @given(n=st.integers(1, 4096), w=bandwidths, eps_list=st.lists(thresholds, min_size=1, max_size=3))
 def test_secant_search_matches_bisection(n, w, eps_list):
-    # the secant search finds the same runs as plain bisection, and never
-    # computes more orders to do so
+    # the secant search finds the same runs as plain bisection, and on these
+    # examples computes no more orders than bisection does. That is not a
+    # law: on random instances it now and then takes one or two more
     assume(w < 0.5)
     p = ProlateParams(n, w)
     runs, bisected = _bisection_runs(p, eps_list)
     calls = []
-    compute = spectrum.tridiagonal_spectrum
+    compute = spectrum._solve_slice  # each probe's solve
 
-    def counting(params, kmin, kmax):
+    def counting(params, kmin, kmax, window=None):
         calls.append(kmin)
-        return compute(params, kmin, kmax)
+        return compute(params, kmin, kmax, window)
 
-    with mock.patch.object(spectrum, "tridiagonal_spectrum", counting):
+    with mock.patch.object(spectrum, "_solve_slice", counting):
         reports = transition_widths(p, eps_list)
     for report in reports:
         assert (report.width, report.k_first, report.k_last) == runs[report.eps], report
+    assert calls == list(reports[0].probes)
     assert len(calls) <= bisected, (calls, bisected)
+
+
+@budget(60)
+@given(
+    n=st.integers(3, 400),
+    w=bandwidths,
+    k=st.floats(0.0, 1.0),
+    off=st.sampled_from([-30.0, -3.0, -0.3, 0.3, 3.0, 30.0]),
+    half=st.sampled_from([0.9, 5.0]),
+)
+def test_mispredicted_windows_fall_back_to_the_same_order(n, w, k, off, half):
+    # a probe's window centred off spacings (gaps between adjacent orders)
+    # from chi_k and half spacings to each side holds none, one or several
+    # of its block's eigenvalues. The window is taken exactly when it holds
+    # chi_k alone among its block's; either way the probe is order k's, with
+    # lambda within a few ulps of the one that bisection by index gives
+    assume(w < 0.5)
+    p, k = ProlateParams(n, w), min(int(k * n), n - 1)
+    diag, off_diag = spectrum._tridiag_bands(n, w)
+    chi = np.linalg.eigvalsh(np.diag(diag) + np.diag(off_diag, 1) + np.diag(off_diag, -1))[::-1]
+    spacing = (chi[max(k - 1, 0)] - chi[min(k + 1, n - 1)]) / (min(k + 1, n - 1) - max(k - 1, 0))
+    vl, vu = chi[k] + (off - half) * spacing, chi[k] + (off + half) * spacing
+    held = {j for j in range(k % 2, n, 2) if vl < chi[j] <= vu}
+    clear = np.min(np.abs(chi[k % 2 :: 2, None] - [vl, vu])) > 1e-9 * np.max(np.abs(chi))
+
+    ref, ref_chi = spectrum._solve_slice(p, k, k)
+    calls = []
+    bisect = spectrum.eigvalsh_tridiagonal
+    with mock.patch.object(
+        spectrum, "eigvalsh_tridiagonal", lambda *a, **kw: calls.append(1) or bisect(*a, **kw)
+    ):
+        got, got_chi = spectrum._solve_slice(p, k, k, (vl, vu))
+    if clear and (n + 1 - k % 2) // 2 > 1:  # a block of one takes no bisection
+        assert len(calls) == (held != {k}), (held, calls)
+    assert abs(got_chi[0] - ref_chi[0]) <= n * math.sin(2.0 * math.pi * w) / 2.0**16
+    assert abs(got.lam[0] - ref.lam[0]) <= 4 * np.finfo(float).eps, (got.lam, ref.lam)
+    assert abs(got.comp[0] - ref.comp[0]) <= 4 * np.finfo(float).eps, (got.comp, ref.comp)
 
 
 @budget(25)

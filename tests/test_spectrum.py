@@ -203,7 +203,7 @@ def test_small_side_error_against_exact_rayleigh_quotients():
     got, ref = [], []
     for k in sorted(orders | {p.tbp_floor - 2, p.tbp_floor - 1}):
         slc = tridiagonal_spectrum(p, k, k)
-        lam, comp = _exact_rayleigh_pair(p.w, _concentration_eigenvectors(p, k, k)[:, 0])
+        lam, comp = _exact_rayleigh_pair(p.w, _concentration_eigenvectors(p, k, k)[1][:, 0])
         small_is_comp = comp < lam
         got.append(slc.comp[0] if small_is_comp else slc.lam[0])
         ref.append(comp if small_is_comp else lam)
@@ -236,9 +236,11 @@ def test_eigenvectors_match_lapack(w):
     from prolate.spectrum import _concentration_eigenvectors, _tridiag_bands
 
     n = 257
-    got = _concentration_eigenvectors(ProlateParams(n, w), 0, n - 1)
-    _, ref = eigh_tridiagonal(*_tridiag_bands(n, w), lapack_driver="stebz")
+    chis, got = _concentration_eigenvectors(ProlateParams(n, w), 0, n - 1)
+    vals, ref = eigh_tridiagonal(*_tridiag_bands(n, w), lapack_driver="stebz")
     ref = ref[:, ::-1]  # ascending T order is descending k
+    # the shifts are T's eigenvalues to the coarse bisection tolerance, n sin(2 pi W) / 2^16
+    assert np.max(np.abs(chis - vals[::-1])) <= n * np.sin(2 * np.pi * w) / 2.0**16
     signs = np.sign(np.sum(got * ref, axis=0))
     assert np.max(np.abs(got - ref * signs)) <= 1e-10
     # order k has the parity of k, so both parities are covered
@@ -263,10 +265,11 @@ def test_parity_blocks_of_size_one_need_no_solve(monkeypatch, n, orders):
         raise AssertionError("a 1 x 1 parity block reached a solver")
 
     monkeypatch.setattr(spectrum, "eigvalsh_tridiagonal", refuse)
+    monkeypatch.setattr(spectrum, "dstebz", refuse)
     monkeypatch.setattr(spectrum, "dstein", refuse)
     _, ref = np.linalg.eigh(_dense_t(n, 0.2))
     for k in orders:
-        got = spectrum._concentration_eigenvectors(ProlateParams(n, 0.2), k, k)[:, 0]
+        got = spectrum._concentration_eigenvectors(ProlateParams(n, 0.2), k, k)[1][:, 0]
         assert abs(got @ ref[:, n - 1 - k]) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -279,7 +282,7 @@ def test_parity_route_matches_dense(n, w):
 
     p = ProlateParams(n, w)
     assert np.max(np.abs(tridiagonal_spectrum(p, 0, n - 1).lam - dense_spectrum(p).lam)) <= 1e-10
-    got = _concentration_eigenvectors(p, 0, n - 1)
+    _, got = _concentration_eigenvectors(p, 0, n - 1)
     ref = np.linalg.eigh(_dense_t(n, w))[1][:, ::-1]
     signs = np.sign(np.sum(got * ref, axis=0))
     assert np.max(np.abs(got - ref * signs)) <= 1e-10
@@ -312,7 +315,7 @@ def test_rayleigh_quotients_match_compensated_sum():
     from prolate.spectrum import _concentration_eigenvectors, _rayleigh_quotients
 
     p = ProlateParams(257, 0.2)
-    vecs = _concentration_eigenvectors(p, 90, 120)
+    _, vecs = _concentration_eigenvectors(p, 90, 120)
     prods = vecs * SymmetricToeplitz(sinc_kernel(p.w, np.arange(p.n))).matmat(vecs)
     ref = np.array([math.fsum(col.tolist()) for col in prods.T])
     bound = p.n * np.finfo(float).eps * np.abs(prods).sum(axis=0)
@@ -336,6 +339,29 @@ def test_stein_failure_raises(monkeypatch, capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_stebz_window_failure_raises(monkeypatch, capsys):
+    # a nonzero info from LAPACK stebz while a width probe bisects in its
+    # predicted window is a NumericalError, which the CLI reports as one
+    # error line with exit 4; slices bisect by index and never call it
+    import prolate.spectrum as spectrum
+    from prolate.cli import main
+
+    def failing(diag, off, select, vl, vu, il, iu, tol, order):
+        empty = np.zeros(diag.size, dtype=np.int32)
+        return 0, np.zeros(diag.size), empty, empty, 1
+
+    monkeypatch.setattr(spectrum, "dstebz", failing)
+    p = ProlateParams(64, 0.2)
+    tridiagonal_spectrum(p, 0, 63)
+    with pytest.raises(NumericalError, match="stebz failed in"):
+        transition_width(p, 1e-3)
+    code = main(["width", "--n", "1000", "--w", "0.125", "--eps", "1e-3"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: LAPACK stebz failed in (") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -472,13 +498,13 @@ def test_transition_width_probe_budget(monkeypatch):
     import prolate.spectrum as spectrum
 
     calls = []
-    compute = spectrum.tridiagonal_spectrum
+    compute = spectrum._solve_slice  # each probe's solve
 
-    def counting(params, kmin, kmax):
+    def counting(params, kmin, kmax, window=None):
         calls.append((kmin, kmax))
-        return compute(params, kmin, kmax)
+        return compute(params, kmin, kmax, window)
 
-    monkeypatch.setattr(spectrum, "tridiagonal_spectrum", counting)
+    monkeypatch.setattr(spectrum, "_solve_slice", counting)
     p = ProlateParams(65536, 0.25)
     report = transition_width(p, 1e-13)
     assert report.width == 68
@@ -491,6 +517,65 @@ def test_transition_width_probe_budget(monkeypatch):
     assert all(r.probes == reports[0].probes for r in reports)
     assert len(reports[0].probes) <= 13, reports[0].probes
     assert len(set(reports[0].probes)) == len(reports[0].probes)
+
+
+def test_width_probes_at_two_pow_16_never_bisect_by_index(monkeypatch):
+    # every probe, the first included, finds its T-eigenvalue in a predicted
+    # window, which the Sturm counts accept, so no probe bisects its whole
+    # parity block by index (at 12 W across [1/16, 7/16], eps = 1e-13)
+    import prolate.spectrum as spectrum
+
+    calls = []
+    bisect = spectrum.eigvalsh_tridiagonal
+    monkeypatch.setattr(
+        spectrum, "eigvalsh_tridiagonal", lambda *a, **kw: calls.append(1) or bisect(*a, **kw)
+    )
+    for w in np.linspace(1 / 16, 7 / 16, 12):
+        report = transition_width(ProlateParams(65536, float(w)), 1e-13)
+        assert 62 <= report.width <= 68 and len(report.probes) <= 4, (w, report)
+    assert calls == []
+
+
+def test_width_probe_windows_hold_a_few_eigenvalues_at_most(monkeypatch):
+    # with N sin(2 pi W) just above 1 the model's slope is near 0 and 0.9 of
+    # an order's spacing would span the block; each window is capped at
+    # N sin(2 pi W) to each side, so it never bisects more than 9 eigenvalues
+    import prolate.spectrum as spectrum
+    from prolate.spectrum import _count_run
+
+    n = 1024
+    p = ProlateParams(n, math.asin((1.0 + 1e-9) / n) / (2.0 * math.pi))
+    uppers = {upper for _, _, upper in spectrum._parity_blocks(p)}
+    sizes = []
+    by_value = spectrum._stebz_by_value
+
+    def recording(diag, off, vl, vu, tol):
+        found = by_value(diag, off, vl, vu, tol)
+        if vu not in uppers:  # a window, not the count above one
+            sizes.append(found.size)
+        return found
+
+    monkeypatch.setattr(spectrum, "_stebz_by_value", recording)
+    eps_list = [1e-3, 1e-8, 1e-13]
+    full = tridiagonal_spectrum(p, 0, n - 1)
+    for report in transition_widths(p, eps_list):
+        assert (report.width, report.k_first, report.k_last) == _count_run(full, report.eps)
+    assert sizes and max(sizes) <= 9, sizes
+
+
+def test_width_count_builds_the_bands_once(monkeypatch):
+    # all the probes of an instance share one read-only copy of T's parity blocks
+    import prolate.spectrum as spectrum
+
+    calls = []
+    build = spectrum._tridiag_bands
+    monkeypatch.setattr(spectrum, "_tridiag_bands", lambda n, w: calls.append(n) or build(n, w))
+    spectrum._parity_blocks.cache_clear()
+    p = ProlateParams(1000, 0.125)
+    assert len(transition_widths(p, [1e-3, 1e-8, 1e-13])[0].probes) > 1
+    assert calls == [1000]
+    for diag, off, _ in spectrum._parity_blocks(p):
+        assert not diag.flags.writeable and not off.flags.writeable
 
 
 def test_transition_width_probe_budget_over_figure3():
