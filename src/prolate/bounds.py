@@ -107,6 +107,19 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
+def _log(*factors, plus: float = 0.0) -> float:
+    """log(f1 * f2 * ... + plus) for positive factors, the product taken left to
+    right in doubles, as the closed forms write it. Where that overflows,
+    log P + log1p(plus / P) with log P the sum of the factors' logs, so the
+    value stays finite for every N that a double holds.
+    """
+    x = math.prod(factors) + plus
+    if math.isfinite(x):
+        return math.log(x)
+    log_p = math.fsum(map(math.log, factors))
+    return log_p + math.log1p(plus * math.exp(-log_p))
+
+
 def _count_bound(name: str, value: float) -> BoundValue:
     """A real bound on a count and its floor."""
     return BoundValue(_finite(name, value), int(math.floor(value)))
@@ -130,22 +143,28 @@ def width_bound_thm1(n: int, eps: float) -> BoundValue:
 def pswf_width_bound(c: float, eps: float) -> BoundValue:
     """Continuous transition-width bound (2/pi^2)*log(100c/pi+25)*log(5/(eps(1-eps))) + 7."""
     c = _check_c(c)
+    return _thm3(math.log(100.0 * c / math.pi + 25.0), eps)
+
+
+def _thm3(log_x: float, eps: float) -> BoundValue:
+    """(2/pi^2)*log_x*log(5/(eps(1-eps))) + 7, Theorem 3 at log_x = log(100c/pi + 25)."""
     eps = _check_eps(eps)
-    value = (
-        2.0 / _PI2 * math.log(100.0 * c / math.pi + 25.0) * math.log(5.0 / (eps * (1.0 - eps)))
-        + 7.0
-    )
-    return _count_bound("thm3", value)
+    return _count_bound("thm3", 2.0 / _PI2 * log_x * math.log(5.0 / (eps * (1.0 - eps))) + 7.0)
 
 
 def width_bound_thm2(n: int, w: float, eps: float) -> BoundValue:
     """Transition-width bound (2/pi^2)*log(100NW+25)*log(5/(eps(1-eps))) + 7.
 
     Identical expression to :func:`pswf_width_bound` under c = pi*N*W, and
-    implemented through it so the identity holds exactly in floating point.
+    implemented through it so the identity holds exactly in floating point
+    wherever 100c is a double. Past that, log(100NW + 25) is formed from
+    log 100 + log N + log W, with no c formed (see :func:`_log`).
     """
     p = ProlateParams(n, w)
-    return pswf_width_bound(math.pi * p.n * p.w, eps)
+    c = math.pi * p.n * p.w
+    if math.isfinite(100.0 * c):
+        return pswf_width_bound(c, eps)
+    return _thm3(_log(100.0, p.n, p.w, plus=25.0), eps)
 
 
 def width_bound_prior(n: int, w: float, eps: float, which: str) -> BoundValue:
@@ -165,13 +184,14 @@ def width_bound_prior(n: int, w: float, eps: float, which: str) -> BoundValue:
     if which == "eq2":
         if p.n < 2:
             raise DomainError("eq2 requires N >= 2")
-        value = (2.0 / _PI2 * math.log(p.n - 1.0) + 2.0 / _PI2 * (2.0 * p.n - 1.0) / (p.n - 1.0)) / (
-            eps * (1.0 - eps)
-        )
+        ratio = 2.0 / _PI2 * (2.0 * p.n - 1.0) / (p.n - 1.0)
+        if not math.isfinite(ratio):  # 2N overflows, and (2N - 1)/(N - 1) rounds to 2
+            ratio = 4.0 / _PI2
+        value = (2.0 / _PI2 * math.log(p.n - 1.0) + ratio) / (eps * (1.0 - eps))
     elif which == "eq3":
         s = float(sin_cos_2pi_product(p.w, np.array([float(p.n)]))[0][0])  # sin(2 pi N W)
         value = (
-            1.0 / _PI2 * math.log(2.0 * p.n * p.w)
+            1.0 / _PI2 * _log(2.0, p.n, p.w)
             + 0.45
             - 2.0 / 3.0 * p.w**2
             + s**2 / (6.0 * _PI2 * (p.n * float(p.n)))  # N^2 in doubles: inf past ~1e154
@@ -179,7 +199,7 @@ def width_bound_prior(n: int, w: float, eps: float, which: str) -> BoundValue:
         if value < 0.0:
             raise DomainError(f"eq3 is negative at 2NW = {2.0 * p.n * p.w:.6g}")
     elif which == "eq6":
-        value = (8.0 / _PI2 * math.log(8.0 * p.n) + 12.0) * math.log(15.0 / eps)
+        value = (8.0 / _PI2 * _log(8.0, p.n) + 12.0) * math.log(15.0 / eps)
     else:
         raise ParameterError(f"which must be one of 'eq2', 'eq3', 'eq6', got {which!r}")
     return _count_bound(which, value)
@@ -187,7 +207,10 @@ def width_bound_prior(n: int, w: float, eps: float, which: str) -> BoundValue:
 
 def _discrete_law(p: ProlateParams) -> tuple[int, int, tuple]:
     """Floor and ceil of 2NW and the envelope terms (a, s, log x) of Theorems 1 and 2."""
-    terms = ((8.0, 1, math.log(4.0 * p.n)), (10.0, 6, math.log(100.0 * p.n * p.w + 25.0)))
+    terms = (
+        (8.0, 1, _log(4.0, p.n)),
+        (10.0, 6, _log(100.0, p.n, p.w, plus=25.0)),
+    )
     return p.tbp_floor, p.tbp_ceil, terms
 
 
@@ -314,7 +337,7 @@ def slepian_approx(n: int, w: float, k: float) -> SlepianApprox:
     """
     p = ProlateParams(n, w)
     s = float(sin_cos_2pi_product(p.w, np.array([1.0]))[0][0])  # sin(2 pi W) > 0
-    denom = math.log(8.0 * p.n * s) + EULER_MASCHERONI
+    denom = _log(8.0, p.n, s) + EULER_MASCHERONI
     x = -_PI2 * (2.0 * p.n * p.w - k - 0.5) / denom
     # guard exp overflow; value saturates at 0 or 1 accordingly
     if x > 700.0:
@@ -366,22 +389,25 @@ def evaluate_bound_set(
     """Evaluate the full family of bounds for one instance, no spectrum needed.
 
     Always includes the width bounds (new and prior) and the continuous-case
-    width bound at c = pi*N*W. When ``k`` is given (0 <= k <= N-1), adds the
-    per-index envelope, the prior per-index upper bounds, and the plunge
-    approximation; when ``K >= 0`` is given, adds the head/tail sum bounds
-    whose range holds K.
+    width bound at c = pi*N*W, which is thm2's expression. When ``k`` is
+    given (0 <= k <= N-1), adds the per-index envelope, the prior per-index
+    upper bounds, and the plunge approximation; when ``K >= 0`` is given,
+    adds the head/tail sum bounds whose range holds K. The continuous-case
+    envelope and sums are left out where 100c overflows a double, as
+    Theorem 3's rate log(100c/pi + 25) then does.
     """
     p = ProlateParams(n, w)
     eps = _check_eps(eps)
     if K is not None:
         _representable("K", _at_least("K", K, 0))
     c = math.pi * p.n * p.w
+    continuous = math.isfinite(100.0 * c)
     out: dict = {
         "thm1": width_bound_thm1(p.n, eps),
         "thm2": width_bound_thm2(p.n, p.w, eps),
         "eq6_fst": width_bound_prior(p.n, p.w, eps, "eq6"),
-        "thm3_pswf": pswf_width_bound(c, eps),
     }
+    out["thm3_pswf"] = out["thm2"]
     for key, which in (("eq2_zhuwakin", "eq2"), ("eq3_boulsane", "eq3")):
         with contextlib.suppress(DomainError):  # eq2 needs N >= 2, eq3 a value >= 0
             out[key] = width_bound_prior(p.n, p.w, eps, which)
@@ -392,13 +418,15 @@ def evaluate_bound_set(
         out["slepian_approx"] = slepian_approx(p.n, p.w, k)
         out["eq4_boulsane1"] = eig_upper_prior(p.n, p.w, k, "eq4")
         out["eq5_boulsane2"] = eig_upper_prior(p.n, p.w, k, "eq5")
-        penv = pswf_eig_envelope(c, k)
-        out["cor3_lower"] = penv.lower
-        out["cor3_upper"] = penv.upper
+        if continuous:
+            penv = pswf_eig_envelope(c, k)
+            out["cor3_lower"] = penv.lower
+            out["cor3_upper"] = penv.upper
     if K is not None:
         for side in ("head", "tail"):  # a side whose range excludes K is left out
             with contextlib.suppress(DomainError):
                 out[f"cor2_{side}"] = sum_bounds_cor2(p.n, p.w, K, side)
             with contextlib.suppress(DomainError):
-                out[f"cor4_{side}"] = pswf_sum_bounds(c, K, side)
+                if continuous:
+                    out[f"cor4_{side}"] = pswf_sum_bounds(c, K, side)
     return out

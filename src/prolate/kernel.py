@@ -144,11 +144,22 @@ def near_block_rows(w: float) -> int:
 
 # Veltkamp splitter for Dekker's exact two-product (no math.fma on 3.10).
 _SPLIT = 134217729.0  # 2**27 + 1
+# the splitter's multiply overflows at and above this size
+_SPLIT_LIMIT = 2.0**996
 
 
 def _two_product(a: float, b):
-    """Return (p, e) with p = fl(a*b) and p + e = a*b exactly."""
+    """Return (p, e) with p = fl(a*b) and p + e = a*b exactly, for |a| below 2**996.
+
+    Entries of ``b`` too large to split are taken at 2**-28 times their size
+    and the results scaled back: a power of two scales p and e exactly.
+    """
     b = np.asarray(b, dtype=np.float64)
+    big = np.abs(b) >= _SPLIT_LIMIT
+    if big.any():
+        scale = np.where(big, 2.0**28, 1.0)
+        p, e = _two_product(a, b / scale)
+        return p * scale, e * scale
     p = a * b
     ta = _SPLIT * a
     a_hi = ta - (ta - a)
@@ -258,6 +269,17 @@ def _embed_size(n: int) -> int:
     return 1 << (t - 1).bit_length() if t > 1 else 1
 
 
+def _circulant_embedding(col: np.ndarray, m: int) -> np.ndarray:
+    """First column of the size-m circulant (m >= 2n - 1) whose leading n x n
+    block is the symmetric Toeplitz matrix with first column ``col``."""
+    n = col.size
+    c = np.zeros(m)
+    c[:n] = col
+    if n > 1:
+        c[m - n + 1 :] = col[1:][::-1]
+    return c
+
+
 class SymmetricToeplitz:
     """Symmetric Toeplitz operator with an O(N log N) product.
 
@@ -271,13 +293,8 @@ class SymmetricToeplitz:
         if col.ndim != 1 or col.size == 0:
             raise ParameterError("first_column must be a non-empty 1-D array")
         self.n = col.size
-        m = _embed_size(self.n)
-        c = np.zeros(m)
-        c[: self.n] = col
-        if self.n > 1:
-            c[m - self.n + 1 :] = col[1:][::-1]
-        self._m = m
-        self._kernel_fft = np.fft.rfft(c)
+        self._m = _embed_size(self.n)
+        self._kernel_fft = np.fft.rfft(_circulant_embedding(col, self._m))
 
     def matmat(self, xs) -> np.ndarray:
         """Apply to each column of ``xs`` (N x K), returning an N x K array."""

@@ -74,6 +74,24 @@ class TestWidthBoundThm2:
             23.287028203765015537, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "n", [1000, 10**300, 10**306, 10**307, 10**308, int(sys.float_info.max)]
+    )
+    @pytest.mark.parametrize("w", [1e-300, 0.1, 0.49])
+    def test_mpmath_oracle_up_to_the_largest_double(self, n, w):
+        # c = pi N W overflows past N W ~ 5.7e307, and 100 c/pi + 25 past
+        # N W ~ 1.8e306; thm2 is about 1235 at N = 10^308, W = 0.1, eps = 1e-3
+        eps = 1e-3
+        with mpmath.workdps(50):
+            x = 100 * n * mpmath.mpf(w) + 25
+            rate = mpmath.log(5 / (eps * (1 - mpmath.mpf(eps))))
+            expected = 2 / mpmath.pi**2 * mpmath.log(x) * rate + 7
+        got = width_bound_thm2(n, w, eps)
+        assert got.value == pytest.approx(float(expected), rel=1e-14)
+        assert got.integer == int(mpmath.floor(expected))
+        if (n, w) == (10**308, 0.1):
+            assert got.integer == 1235
+
     def test_dominates_thm1_for_wide_band(self):
         for n in (16, 128, 1024, 4096):
             for w in (0.25, 0.3, 0.4, 0.49):

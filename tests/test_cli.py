@@ -505,6 +505,65 @@ def test_bounds_at_huge_n_prints_finite_values(capsys):
     assert float(values["eq3_boulsane"]) == pytest.approx(eq3, rel=1e-13)
 
 
+def _bounds_row(capsys, n):
+    code, out, err = run(capsys, "bounds", "--n", str(n), "--w", "0.1", "--eps", "1e-3")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def test_bounds_past_the_splitter_limit_keep_eq3(capsys):
+    # at N = 10^305 the Veltkamp split's 2^27 + 1 multiply would overflow: N
+    # is split at 2^-28 its size, so eq3 is printed and stderr stays empty
+    mpmath = pytest.importorskip("mpmath")
+    n = 10**305
+    values = _bounds_row(capsys, n)
+    with mpmath.workdps(50):
+        w, eps = mpmath.mpf(0.1), mpmath.mpf(1e-3)
+        s = mpmath.sin(2 * mpmath.pi * n * w)
+        eq3 = (
+            mpmath.log(2 * n * w) / mpmath.pi**2 + mpmath.mpf(0.45) - 2 * w**2 / 3
+            + s**2 / (6 * mpmath.pi**2 * n**2)
+        ) / (eps * (1 - eps))
+    assert float(values["eq3_boulsane"]) == pytest.approx(float(eq3), rel=1e-14)
+    assert int(values["eq3_boulsane_int"]) == int(mpmath.floor(eq3))
+
+
+def test_bounds_at_the_largest_doubles_print_every_width_bound(capsys):
+    # c = pi N W overflows at N = 10^308, W = 0.1; thm2 (and thm3 at that c,
+    # the same expression) is about 1235 there, eq2, eq3 and eq6 finite too
+    mpmath = pytest.importorskip("mpmath")
+    n = 10**308
+    values = _bounds_row(capsys, n)
+    with mpmath.workdps(50):
+        w, eps = mpmath.mpf(0.1), mpmath.mpf(1e-3)
+        rate = mpmath.log(5 / (eps * (1 - eps)))
+        thm2 = 2 / mpmath.pi**2 * mpmath.log(100 * n * w + 25) * rate + 7
+        eq2 = (2 / mpmath.pi**2 * (mpmath.log(n - 1) + mpmath.mpf(2 * n - 1) / (n - 1))) / (
+            eps * (1 - eps)
+        )
+        eq6 = (8 / mpmath.pi**2 * mpmath.log(8 * n) + 12) * mpmath.log(15 / eps)
+    for key, ref in (("thm2", thm2), ("thm3_pswf", thm2), ("eq2_zhuwakin", eq2), ("eq6_fst", eq6)):
+        assert float(values[key]) == pytest.approx(float(ref), rel=1e-14), key
+        assert int(values[key + "_int"]) == int(mpmath.floor(ref)), key
+    assert values["thm2_int"] == "1235"
+    assert math.isfinite(float(values["eq3_boulsane"]))
+
+
+@pytest.mark.parametrize("exponent", [306, 307, 308])
+def test_bounds_envelopes_at_huge_n_stay_finite(capsys, exponent):
+    # with --k and --K every printed value is finite; the continuous-case
+    # envelope and sums are left out once 100c = 100 pi N W overflows
+    argv = ["--n", str(10**exponent), "--w", "0.1", "--eps", "1e-3", "--k", "5", "--K", "5"]
+    code, out, err = run(capsys, "bounds", *argv)
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    numbers = [v for k, v in values.items() if v and k != "slepian_approx_advisory"]
+    assert all(math.isfinite(float(v)) for v in numbers)
+    assert ("cor3_lower" in values) == (exponent == 306)
+
+
 def test_bounds_acceptance_instance(capsys):
     code, out, err = run(
         capsys, "bounds", "--n", "1000", "--w", "0.125", "--eps", "1e-3", "--k", "250", "--K", "250"

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,12 @@ def test_demo_imports_resolve(demo):
             mod = importlib.import_module(node.module)
             for alias in node.names:
                 assert hasattr(mod, alias.name), (demo.name, node.module, alias.name)
+
+
+def test_cli_import_leaves_out_scipy_fft():
+    # numpy.fft does the package's transforms; importing scipy.fft would add
+    # tens of milliseconds and a few MiB to every start-up
+    code = "import sys, prolate.cli; print('scipy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

@@ -129,7 +129,7 @@ def _mp_small_side(n, w):
 def test_tridiagonal_relative_accuracy_oracle(n, w):
     # relative error of the smaller of lambda and 1 - lambda (the one the
     # route computes directly) against an independent high-precision solve;
-    # the worst cases over these instances are 2.0e-2, 3.6e-4 and 2.3e-4
+    # the worst cases over these instances are 2.0e-2, 3.7e-4 and 2.3e-4
     ref, upper = _mp_small_side(n, w)
     slc = tridiagonal_spectrum(ProlateParams(n, w), 0, n - 1)
     got = np.where(upper, slc.comp, slc.lam)
@@ -149,11 +149,13 @@ def _assert_small_side_claim(got, ref):
 
 
 @pytest.mark.parametrize(
-    "n, w", [(24, 0.2), (40, 0.05), (48, 0.1), (48, 0.3), (42, 0.2570497580793853)]
+    "n, w",
+    [(24, 0.2), (40, 0.05), (48, 0.1), (48, 0.3), (42, 0.2570497580793853), (41, 0.2), (47, 0.3)],
 )
 def test_small_side_error_against_mpmath(n, w):
-    # at (42, 0.2570...) the relative error is 1.9e-3 just above 1e-14: an
-    # absolute error of about 2e-17; the worst over these instances is 1.1e-16
+    # at (42, 0.2570...) the relative error is 6.1e-4 just above 1e-14: an
+    # absolute error of about 1.5e-17; the worst over these instances is 1.2e-16,
+    # and 4.4e-17 at the odd n, whose Rayleigh quotients transform whole vectors
     ref, upper = _mp_small_side(n, w)
     slc = tridiagonal_spectrum(ProlateParams(n, w), 0, n - 1)
     _assert_small_side_claim(np.where(upper, slc.comp, slc.lam), ref)
@@ -191,13 +193,12 @@ def _exact_rayleigh_pair(w, s):
         return float(lam), float(1 - lam)
 
 
-def test_small_side_error_against_exact_rayleigh_quotients():
-    # at N = 1024: eight orders across the run in (2e-15, 1 - 2e-15) and the
-    # last two reflected orders, whose lambda moves fastest with W; 1/2 - W is
-    # not a double here, so reflecting through that instance would miss
+def _small_side_against_exact_rayleigh_quotients(n, w):
+    # eight orders across the run in (2e-15, 1 - 2e-15) and the last two
+    # reflected orders, whose lambda moves fastest with W
     from prolate.spectrum import _concentration_eigenvectors
 
-    p = ProlateParams(1024, 0.01)
+    p = ProlateParams(n, w)
     report = transition_width(p, 2e-15)
     orders = set(np.linspace(report.k_first, report.k_last, 8).round().astype(int).tolist())
     got, ref = [], []
@@ -208,6 +209,17 @@ def test_small_side_error_against_exact_rayleigh_quotients():
         got.append(slc.comp[0] if small_is_comp else slc.lam[0])
         ref.append(comp if small_is_comp else lam)
     _assert_small_side_claim(np.array(got), np.array(ref))
+
+
+def test_small_side_error_against_exact_rayleigh_quotients():
+    # at N = 1024, W = 0.01: 1/2 - W is not a double here, so reflecting
+    # through that instance would miss
+    _small_side_against_exact_rayleigh_quotients(1024, 0.01)
+
+
+def test_small_side_error_against_exact_rayleigh_quotients_at_odd_n():
+    # odd n transforms the whole vector, not its half
+    _small_side_against_exact_rayleigh_quotients(1025, 0.2)
 
 
 @pytest.mark.parametrize(
@@ -307,19 +319,52 @@ def test_parity_blocks_split_the_spectrum(n, w):
 
 
 def test_rayleigh_quotients_match_compensated_sum():
-    # the vectorized dot against a per-column math.fsum reference, within
-    # the error bound of a plain sum, n * eps * sum(|terms|)
+    # the vectorized weighted sum of squares against a per-column math.fsum
+    # of the same terms, within the error bound of a plain sum,
+    # n * eps * sum(|terms|): odd n (a length-2P transform of each column) and
+    # even n (a length-P transform of each half, both parities), B and I - B
     import math
 
-    from prolate.kernel import SymmetricToeplitz, sinc_kernel
-    from prolate.spectrum import _concentration_eigenvectors, _rayleigh_quotients
+    from prolate.spectrum import (
+        _concentration_eigenvectors,
+        _parseval_squares,
+        _parseval_weights,
+        _rayleigh_quotients,
+    )
 
-    p = ProlateParams(257, 0.2)
-    _, vecs = _concentration_eigenvectors(p, 90, 120)
-    prods = vecs * SymmetricToeplitz(sinc_kernel(p.w, np.arange(p.n))).matmat(vecs)
-    ref = np.array([math.fsum(col.tolist()) for col in prods.T])
-    bound = p.n * np.finfo(float).eps * np.abs(prods).sum(axis=0)
-    assert np.all(np.abs(_rayleigh_quotients(p, vecs, reflected=False) - ref) <= bound)
+    for n in (256, 257):
+        p = ProlateParams(n, 0.2)
+        _, vecs = _concentration_eigenvectors(p, 90, 120)
+        for reflected in (False, True):
+            got = _rayleigh_quotients(p, vecs, reflected, 90)
+            for parity in (0, 1):  # orders 90 + j: column j has the parity of j
+                cols = slice(parity, None, 2)
+                weights = _parseval_weights(p, reflected, parity)
+                terms = _parseval_squares(p, vecs[:, cols], parity) * weights
+                ref = np.array([math.fsum(row.tolist()) for row in terms])
+                bound = terms.shape[1] * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+                assert np.all(np.abs(got[cols] - ref) <= bound), (n, reflected, parity)
+
+
+def test_slice_workspace_stays_within_its_eigenvector_block():
+    # a slice's vectors are mirrored into their block and transformed in
+    # chunks of a fixed number of entries, so above the n x 256 eigenvector
+    # block (32 MiB at n = 2^14) the transient peak is at most the block:
+    # the half vectors of one parity (a quarter of the block) and three
+    # chunks of 4 MiB at most (measured 17 MiB; 24 MiB unchunked, 65 MiB when
+    # each slice was mirrored into a copy and multiplied by B whole)
+    import tracemalloc
+
+    p = ProlateParams(16384, 0.1)
+    k = p.tbp_floor - 128
+    tracemalloc.start()
+    try:
+        tridiagonal_spectrum(p, k, k + 255)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = p.n * 256 * 8
+    assert peak - block <= min(block, block / 4 + 3 * 2**22), peak / 2**20
 
 
 def test_stein_failure_raises(monkeypatch, capsys):
@@ -598,18 +643,51 @@ def test_transition_width_probe_where_the_run_is_cut_off():
 
 
 def test_width_count_evaluates_the_sinc_column_once(monkeypatch):
-    # B and I - B share one sinc column; each builds its own kernel FFT
+    # B and I - B share one sinc column and one kernel transform, the real
+    # DFT of B's circulant embedding, cached read-only
     import prolate.spectrum as spectrum
 
-    calls = []
-    evaluate = spectrum.sinc_kernel
+    calls, sizes = [], []
+    evaluate, rfft = spectrum.sinc_kernel, np.fft.rfft
     monkeypatch.setattr(spectrum, "sinc_kernel", lambda w, t: calls.append(w) or evaluate(w, t))
-    spectrum._sinc_column.cache_clear()
-    spectrum._prolate_operator.cache_clear()
+
+    def count(a, *args, **kwargs):
+        sizes.append(a.shape)
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", count)
+    spectrum._prolate_symbol.cache_clear()
     p = ProlateParams(1000, 0.125)
     probes = transition_width(p, 1e-3).probes
     assert min(probes) < p.tbp_floor <= max(probes)  # both operators were used
     assert calls == [0.125]
+    assert sizes.count((2048,)) == 1  # the embedding, 2P = 2048; probes take P = 1024
+    for arr in spectrum._prolate_symbol(p):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n, w", [(1000, 0.125), (65536, 0.2)])
+def test_even_n_probe_makes_one_half_length_real_fft(monkeypatch, n, w):
+    # once the instance's symbol is built, a width probe at even n transforms
+    # only its half vector: one forward real FFT of length P (the least power
+    # of two >= n), whichever side of 2NW and whichever parity
+    import prolate.spectrum as spectrum
+
+    p = ProlateParams(n, w)
+    spectrum._prolate_symbol(p)
+    calls = []
+
+    def count(name):
+        fn = getattr(np.fft, name)
+        return lambda a, *args, **kw: calls.append((name, a.shape[-1])) or fn(a, *args, **kw)
+
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, count(name))
+    size = 1 << (n - 1).bit_length()
+    probes = transition_width(p, 1e-13).probes
+    assert min(probes) < p.tbp_floor <= max(probes)  # both B and I - B
+    assert {k % 2 for k in probes} == {0, 1}
+    assert calls == [("rfft", size)] * len(probes)
 
 
 def test_transition_report_probes_stay_out_of_comparisons():
