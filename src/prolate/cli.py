@@ -10,6 +10,7 @@ mirrors the CSV fields one object per row.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -345,6 +346,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_PARAMS, f"error: {message}\n")
 
 
+@functools.cache  # parsing leaves no state behind, so one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="prolate",

@@ -263,7 +263,8 @@ class DisplacementSystem:
         return np.linalg.svd(self.x, compute_uv=False)
 
     def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self.x, 2))
+        """The largest singular value; the same bits as ``np.linalg.norm(x, 2)``."""
+        return float(self.singular_values()[0])
 
 
 def _boundary_rows(n: int, L: int) -> np.ndarray:
@@ -330,8 +331,11 @@ class SvDecayReport:
 def sv_decay_check(params: ProlateParams, L: int, k_max: int) -> SvDecayReport:
     """Verify sigma_{2k+1}(X_L) <= 2 exp(-pi^2 k / log(16 N^2)) for 0 <= k <= k_max."""
     _at_least("k_max", k_max, 0)
-    system = build_xl(params, L)
-    sv = system.singular_values()
+    return _sv_decay_report(params, build_xl(params, L).singular_values(), k_max)
+
+
+def _sv_decay_report(params: ProlateParams, sv: np.ndarray, k_max: int) -> SvDecayReport:
+    """:func:`sv_decay_check` on the singular values ``sv`` of X_L, already computed."""
     rate = math.log(16.0 * params.n**2)
     rows = []
     ok = True

@@ -189,16 +189,24 @@ def sin_cos_2pi_product(w: float, t) -> tuple[np.ndarray, np.ndarray]:
     -------
     (sin, cos) : tuple of ndarray
     """
+    theta, sign = _reduced_phase(w, t)
+    return sign * np.sin(theta), sign * np.cos(theta)
+
+
+def _reduced_phase(w: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, sign) with |theta| <= pi/2, sin(2*pi*w*t) = sign * sin(theta) and
+    cos(2*pi*w*t) = sign * cos(theta): the exact reduction of
+    :func:`sin_cos_2pi_product`, shared with :func:`sinc_kernel`, which needs
+    the sine only."""
     p, e = _two_product(float(w), t)
     f = p - np.floor(p)  # exact for |p| >= 1 (Sterbenz); one rounding below that
     f = f + e
     f -= np.floor(f)  # f in [0, 1)
     # fold into r in [-1/4, 1/4] so libm sees small arguments
-    k = np.floor(2.0 * f + 0.5)
+    k = np.floor(2.0 * f + 0.5)  # 0, 1 or 2
     r = f - 0.5 * k
-    theta = (2.0 * math.pi) * r
-    sign = 1.0 - 2.0 * (k % 2.0)
-    return sign * np.sin(theta), sign * np.cos(theta)
+    # the sign by comparison, not k % 2: a float % costs more than the sine
+    return (2.0 * math.pi) * r, np.where(k == 1.0, -1.0, 1.0)
 
 
 def sinc_kernel(w: float, t) -> np.ndarray:
@@ -227,8 +235,8 @@ def sinc_kernel(w: float, t) -> np.ndarray:
     zero = t == 0.0
     out[zero] = 2.0 * w
     ta = np.abs(t[~zero])
-    s, _ = sin_cos_2pi_product(w, ta)
-    out[~zero] = s / (math.pi * ta)
+    theta, sign = _reduced_phase(w, ta)  # the sine alone: no cosine is evaluated
+    out[~zero] = sign * np.sin(theta) / (math.pi * ta)
     return out[0] if scalar else out
 
 

@@ -42,7 +42,7 @@ index k // 2 of its block: exactly one in the window and exactly k // 2
 above it. Otherwise the probe bisects by index as a slice does, so a wrong
 prediction costs time, never a wrong order. At N = 2**16 a probe costs
 about 12 ms (window bisection and Sturm count 5.8, ``stein`` 2.5, Rayleigh
-quotient 1.6, a quarter of the sinc column 1.1).
+quotient 1.6, a quarter of the sinc column 0.5).
 
 Eigenvalues above 1/2 are reflected exactly. With D = diag((-1)**i), the
 instance at bandwidth 1/2 - W has T(1/2 - W) = -D T(W) D and prolate matrix

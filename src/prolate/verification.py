@@ -3,6 +3,18 @@
 Each suite returns a list of CheckResult records with stable identifiers, so
 CI can pin on individual properties. Checks are deterministic for a fixed
 seed.
+
+One :func:`run_suite` call keeps a store (:class:`_RunStore`) that the suites
+share: each instance's dense spectrum, its full tridiagonal spectrum (orders
+0..N-1) and each boundary matrix's singular values are computed at most once
+per run. The store holds those results only, never a matrix, and dies with
+the run, so a second call computes everything again. Trace and
+route-agreement read one dense spectrum per ``SPECTRUM_GRID`` instance;
+ordering, route-agreement, sum-containment and envelope-containment read one
+tridiagonal spectrum per instance (envelope-containment builds no dense
+matrix); norm-cap and sv-decay read one SVD. Interlacing and the proxy check
+solve their own short slices, so no check's numbers depend on which suites
+ran.
 """
 
 from __future__ import annotations
@@ -56,6 +68,32 @@ def _result(check_id: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(check_id, bool(passed), detail)
 
 
+class _RunStore:
+    """Spectra and singular values of one verify run, each computed on first use."""
+
+    def __init__(self):
+        self._dense: dict[ProlateParams, spec.SpectrumSlice] = {}
+        self._full: dict[ProlateParams, spec.SpectrumSlice] = {}
+        self._sv: dict[tuple[ProlateParams, int], np.ndarray] = {}
+
+    def dense(self, p: ProlateParams) -> spec.SpectrumSlice:
+        if p not in self._dense:
+            self._dense[p] = spec.dense_spectrum(p)
+        return self._dense[p]
+
+    def full(self, p: ProlateParams) -> spec.SpectrumSlice:
+        """Orders 0..N-1 by the tridiagonal route."""
+        if p not in self._full:
+            self._full[p] = spec.tridiagonal_spectrum(p, 0, p.n - 1)
+        return self._full[p]
+
+    def singular_values(self, p: ProlateParams, L: int) -> np.ndarray:
+        """Singular values of the boundary matrix X_L, descending."""
+        if (p, L) not in self._sv:
+            self._sv[p, L] = disp.build_xl(p, L).singular_values()
+        return self._sv[p, L]
+
+
 # ---------------------------------------------------------------- spectrum --
 
 
@@ -100,19 +138,19 @@ def _check_prolate_symmetry() -> CheckResult:
     return _result("kernel.prolate-structure", sym and all(offs), "bit-equal symmetric Toeplitz")
 
 
-def _check_trace() -> CheckResult:
+def _check_trace(store: _RunStore) -> CheckResult:
     worst = 0.0
     for n, w in SPECTRUM_GRID:
-        lam = spec.dense_spectrum(ProlateParams(n, w))
+        lam = store.dense(ProlateParams(n, w))
         err = abs(lam.sum_lambdas() - 2.0 * n * w) / (2.0 * n * w)
         worst = max(worst, err)
     return _result("spectrum.trace", worst <= 1e-9, f"max rel trace error {worst:.3e}")
 
 
-def _check_ordering() -> CheckResult:
+def _check_ordering(store: _RunStore) -> CheckResult:
     worst = math.inf
     for n, w in [(256, 0.125), (512, 0.4)]:
-        slc = spec.tridiagonal_spectrum(ProlateParams(n, w), 0, n - 1)
+        slc = store.full(ProlateParams(n, w))
         worst = min(float(np.min(-np.diff(slc.lam))), worst)  # adjacent drops, want >= 0
     return _result("spectrum.ordering", worst > -1e-13, f"min adjacent drop {worst:.3e}")
 
@@ -134,37 +172,35 @@ def _check_interlacing() -> CheckResult:
     return _result("spectrum.interlacing", ok, "; ".join(detail) or "midpoint split holds")
 
 
-def _check_symmetry() -> CheckResult:
+def _check_symmetry(store: _RunStore) -> CheckResult:
     worst = 0.0
     for n, w in [(64, 0.05), (257, 0.125), (512, 0.22)]:
-        a = spec.dense_spectrum(ProlateParams(n, w))
-        b = spec.dense_spectrum(ProlateParams(n, 0.5 - w))
+        a = store.dense(ProlateParams(n, w))
+        b = store.dense(ProlateParams(n, 0.5 - w))
         worst = max(worst, float(np.max(np.abs(b.lam - (1.0 - a.lam[::-1])))))
     return _result("spectrum.symmetry", worst <= 1e-10, f"max |reflection defect| {worst:.3e}")
 
 
-def _check_route_agreement() -> CheckResult:
+def _check_route_agreement(store: _RunStore) -> CheckResult:
     worst = 0.0
     for n, w in SPECTRUM_GRID:
         p = ProlateParams(n, w)
-        dense = spec.dense_spectrum(p)
-        trid = spec.tridiagonal_spectrum(p, 0, n - 1)
-        worst = max(worst, float(np.max(np.abs(dense.lam - trid.lam))))
+        worst = max(worst, float(np.max(np.abs(store.dense(p).lam - store.full(p).lam))))
     return _result("spectrum.route-agreement", worst <= 1e-10, f"max |dense - trid| {worst:.3e}")
 
 
-def suite_spectrum(seed: int = 0) -> list[CheckResult]:
+def suite_spectrum(seed: int, store: _RunStore) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
         _check_sinc_bound(rng),
         _check_toeplitz_matvec(rng),
         _check_sinc_identity(rng),
         _check_prolate_symmetry(),
-        _check_trace(),
-        _check_ordering(),
+        _check_trace(store),
+        _check_ordering(store),
         _check_interlacing(),
-        _check_symmetry(),
-        _check_route_agreement(),
+        _check_symmetry(store),
+        _check_route_agreement(store),
     ]
 
 
@@ -184,12 +220,11 @@ def _check_width_vs_bounds() -> CheckResult:
     return _result("bounds.width-le-bounds", not bad, "; ".join(bad) or "width within both bounds")
 
 
-def _check_envelope_containment() -> CheckResult:
+def _check_envelope_containment(store: _RunStore) -> CheckResult:
     bad = []
     for n in BOUNDS_GRID_N:
         for w in BOUNDS_GRID_W:
-            p = ProlateParams(n, w)
-            slc = spec.dense_spectrum(p)
+            slc = store.full(ProlateParams(n, w))
             for k in range(n):
                 env = bnd.eig_envelope(n, w, k)
                 lam = slc.lam_at(k)
@@ -200,12 +235,12 @@ def _check_envelope_containment() -> CheckResult:
     )
 
 
-def _sum_curves(p: ProlateParams) -> tuple[np.ndarray, np.ndarray]:
-    """(head sums for K=1..fl, tail sums for K=ce..N-1) from precise spectra."""
-    n = p.n
-    fl, ce = p.tbp_floor, p.tbp_ceil
-    heads = np.cumsum(spec.tridiagonal_spectrum(p, 0, fl - 1).comp)  # sum_{k<K} (1 - lam_k)
-    direct = spec.tridiagonal_spectrum(p, ce, n - 1).lam
+def _sum_curves(full: spec.SpectrumSlice) -> tuple[np.ndarray, np.ndarray]:
+    """(head sums for K=1..fl, tail sums for K=ce..N-1) from a full tridiagonal
+    spectrum, whose orders below fl carry 1 - lambda directly."""
+    p = full.params
+    heads = np.cumsum(full.comp[: p.tbp_floor])  # sum_{k<K} (1 - lam_k)
+    direct = full.lam[p.tbp_ceil :]
     tails = np.cumsum(direct[::-1])[::-1]  # tails[j] = sum_{k >= ce + j} lam_k
     return heads, tails
 
@@ -220,13 +255,13 @@ def sum_noise_allowance(count: int) -> float:
     return count * RESOLUTION_FLOOR
 
 
-def _check_sum_containment() -> CheckResult:
+def _check_sum_containment(store: _RunStore) -> CheckResult:
     bad = []
     grid = [(n, w) for n in BOUNDS_GRID_N for w in BOUNDS_GRID_W]
     for n, w in grid:
         p = ProlateParams(n, w)
         fl, ce = p.tbp_floor, p.tbp_ceil
-        heads, tails = _sum_curves(p)
+        heads, tails = _sum_curves(store.full(p))
         for K in range(1, fl + 1):
             cap = bnd.sum_bounds_cor2(n, w, K, "head") + sum_noise_allowance(K)
             if heads[K - 1] > cap:
@@ -281,12 +316,12 @@ def _check_proxy_containment() -> CheckResult:
     return _result("bounds.proxy-containment", not bad, "; ".join(bad) or "proxies certified")
 
 
-def suite_bounds(seed: int = 0) -> list[CheckResult]:
+def suite_bounds(seed: int, store: _RunStore) -> list[CheckResult]:
     del seed  # deterministic
     return [
         _check_width_vs_bounds(),
-        _check_envelope_containment(),
-        _check_sum_containment(),
+        _check_envelope_containment(store),
+        _check_sum_containment(store),
         _check_prior_dominance(),
         _check_pswf_identity(),
         _check_proxy_containment(),
@@ -306,10 +341,10 @@ def _check_displacement_residual() -> CheckResult:
     return _result("displacement.residual", not bad, "; ".join(bad) or "rank-2 identity exact")
 
 
-def _check_norm_cap() -> CheckResult:
+def _check_norm_cap(store: _RunStore) -> CheckResult:
     bad = []
     for n, w, L in [(256, 0.125, 2048), (128, 0.05, 512)]:
-        nrm = disp.build_xl(ProlateParams(n, w), L).spectral_norm()
+        nrm = float(store.singular_values(ProlateParams(n, w), L)[0])  # the spectral norm
         if nrm > 0.5 + 1e-12:
             bad.append(f"(n={n}, w={w}, L={L}): |X| = {nrm}")
     return _result("displacement.norm", not bad, "; ".join(bad) or "spectral norm within 1/2")
@@ -342,8 +377,9 @@ def _check_gamma_value() -> CheckResult:
     )
 
 
-def _check_sv_decay() -> CheckResult:
-    rep = disp.sv_decay_check(ProlateParams(256, 0.125), 2048, 10)
+def _check_sv_decay(store: _RunStore) -> CheckResult:
+    p = ProlateParams(256, 0.125)
+    rep = disp._sv_decay_report(p, store.singular_values(p, 2048), 10)
     sigmas = [row[1] for row in rep.rows]
     mono = all(x >= y - 1e-14 for x, y in zip(sigmas, sigmas[1:]))
     return _result(
@@ -380,14 +416,14 @@ def _check_partition() -> CheckResult:
     return _result("displacement.partition", rep.passed, detail)
 
 
-def suite_displacement(seed: int = 0) -> list[CheckResult]:
+def suite_displacement(seed: int, store: _RunStore) -> list[CheckResult]:
     del seed
     return [
         _check_displacement_residual(),
-        _check_norm_cap(),
+        _check_norm_cap(store),
         _check_zolotarev_invariance(),
         _check_gamma_value(),
-        _check_sv_decay(),
+        _check_sv_decay(store),
         _check_gram_limit(),
         _check_loewner(),
         _check_partition(),
@@ -498,7 +534,8 @@ def _check_derivative_bound(rng) -> CheckResult:
     return _result("chebsinc.derivative-bound", not bad, "; ".join(bad[:3]) or "derivative caps hold")
 
 
-def suite_chebsinc(seed: int = 0) -> list[CheckResult]:
+def suite_chebsinc(seed: int, store: _RunStore) -> list[CheckResult]:
+    del store  # computes no spectrum
     rng = np.random.default_rng(seed)
     return [
         _check_nodes(),
@@ -522,8 +559,8 @@ _SUITES = {
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     """Run one named invariant suite (or 'all'); deterministic for a fixed seed >= 0."""
     _at_least("seed", seed, 0)
-    if name == "all":
-        return [r for suite in _SUITES.values() for r in suite(seed)]
-    if name not in _SUITES:
+    if name != "all" and name not in _SUITES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _SUITES[name](seed)
+    store = _RunStore()  # shared by this run's suites only
+    suites = _SUITES.values() if name == "all" else [_SUITES[name]]
+    return [r for suite in suites for r in suite(seed, store)]

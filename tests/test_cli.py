@@ -253,12 +253,17 @@ def test_verify_displacement_suite(capsys):
 def test_verify_all_deterministic(capsys):
     code, first, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
     assert code == 0
-    code, second, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
-    assert code == 0
-    assert first == second
     summary = json.loads(first)
     assert summary["passed"] is True
     assert summary["n_checks"] >= 25
+    # every check runs again in a run of its own suite, which shares no spectrum
+    # with the other suites, and must give the same record
+    alone = []
+    for suite in ("spectrum", "bounds", "displacement", "chebsinc"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", "7")
+        assert code == 0
+        alone += json.loads(out)["checks"]
+    assert alone == summary["checks"]
 
 
 def test_sweep_figure1_emits_eigs_table(capsys):
@@ -322,6 +327,27 @@ def test_usage_error_one_line(capsys, argv, reason):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
+
+
+def test_one_parser_serves_a_usage_error_and_the_next_call(capsys):
+    # the parser is built once per process; an error must leave nothing behind
+    from prolate.cli import _build_parser
+
+    calls = [
+        ["width", "--n", "64", "--w", "0.1"],
+        ["width", "--n", "64", "--w", "0.1", "--eps", "1e-2"],
+        ["verify", "--suite", "abc"],
+        ["bounds", "--n", "64", "--w", "0.1", "--eps", "1e-2"],
+    ]
+    _build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert _build_parser() is _build_parser()
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 2, 0]
 
 
 def test_numerical_error_exit_four(capsys, monkeypatch):

@@ -116,6 +116,13 @@ class TestBoundaryMatrix:
         system = build_xl(ProlateParams(256, 0.125), 2048)
         assert system.spectral_norm() <= 0.5 + 1e-12
 
+    def test_spectral_norm_is_the_first_singular_value_bit_for_bit(self):
+        # verify reads the norm off the singular values that sv-decay uses
+        for n, w, L in [(256, 0.125, 2048), (128, 0.05, 512)]:
+            system = build_xl(ProlateParams(n, w), L)
+            assert system.spectral_norm() == np.linalg.norm(system.x, 2)
+            assert system.spectral_norm() == system.singular_values()[0]
+
     def test_row_index_set(self):
         system = build_xl(ProlateParams(8, 0.1), 3)
         assert list(system.row_indices) == [-3, -2, -1, 8, 9, 10]

@@ -15,7 +15,7 @@ from prolate import (
     sinc_kernel,
     toeplitz_apply,
 )
-from prolate.kernel import dense_cap, near_block_rows, snap_to_integer
+from prolate.kernel import dense_cap, near_block_rows, sin_cos_2pi_product, snap_to_integer
 
 
 def test_params_validation():
@@ -51,6 +51,24 @@ def test_sinc_entry_against_high_precision_oracle():
 def test_sinc_entry_even_bit_exact():
     d = np.arange(1, 50)
     assert np.array_equal(sinc_kernel(0.3, d), sinc_kernel(0.3, -d))
+
+
+def test_sinc_kernel_is_the_sine_of_the_shared_reduction_over_pi_t():
+    # the sine-only kernel keeps the bits of the sine that sin_cos_2pi_product gives
+    rng = np.random.default_rng(11)
+    t = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 2.0**996, -(2.0**996), 2.0**1000, -(2.0**1020)],
+        rng.integers(-(1 << 40), 1 << 40, 200).astype(np.float64),
+        rng.uniform(-1e6, 1e6, 200),
+    ])
+    zero = t == 0.0
+    ta = np.abs(t[~zero])
+    for w in rng.uniform(0.0, 0.5, 8):
+        got = sinc_kernel(w, t)
+        assert np.all(got[zero] == 2.0 * w)
+        want = sin_cos_2pi_product(w, ta)[0] / (math.pi * ta)
+        assert np.array_equal(got[~zero], want)
+        assert np.array_equal(np.signbit(got[~zero]), np.signbit(want))
 
 
 def test_sinc_bound_property():
