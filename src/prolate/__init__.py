@@ -51,13 +51,11 @@ from .errors import (
 )
 from .kernel import (
     ProlateParams,
-    SymmetricToeplitz,
     build_prolate_matrix,
     sinc_entry,
     sinc_identity_residual,
     sinc_identity_tail_bound,
     sinc_kernel,
-    toeplitz_apply,
 )
 from .spectrum import (
     PSWFProxy,

@@ -1,4 +1,4 @@
-"""Sinc kernel evaluation, prolate matrix construction, and fast Toeplitz apply.
+"""Sinc kernel evaluation and prolate matrix construction.
 
 The prolate matrix of order ``N`` with bandwidth ``W`` in (0, 1/2) is the
 symmetric Toeplitz matrix
@@ -32,8 +32,6 @@ __all__ = [
     "sinc_kernel",
     "sinc_entry",
     "build_prolate_matrix",
-    "SymmetricToeplitz",
-    "toeplitz_apply",
     "sinc_identity_residual",
     "sinc_identity_tail_bound",
     "dense_cap",
@@ -236,7 +234,16 @@ def sinc_kernel(w: float, t) -> np.ndarray:
     out[zero] = 2.0 * w
     ta = np.abs(t[~zero])
     theta, sign = _reduced_phase(w, ta)  # the sine alone: no cosine is evaluated
-    out[~zero] = sign * np.sin(theta) / (math.pi * ta)
+    g = sign * np.sin(theta)
+    # pi |t| overflows exactly where |t| > max/pi: there g is divided by pi and
+    # |t| in turn, which gives its subnormal value
+    huge = ta > sys.float_info.max / math.pi
+    if huge.any():
+        g[huge] /= math.pi
+        ta[~huge] *= math.pi
+    else:
+        ta *= math.pi
+    out[~zero] = g / ta
     return out[0] if scalar else out
 
 
@@ -269,76 +276,6 @@ def build_prolate_matrix(params: ProlateParams) -> np.ndarray:
     from scipy.linalg import toeplitz
 
     return toeplitz(col)
-
-
-def _embed_size(n: int) -> int:
-    """Next power of two >= 2*n - 1."""
-    t = 2 * n - 1
-    return 1 << (t - 1).bit_length() if t > 1 else 1
-
-
-def _circulant_embedding(col: np.ndarray, m: int) -> np.ndarray:
-    """First column of the size-m circulant (m >= 2n - 1) whose leading n x n
-    block is the symmetric Toeplitz matrix with first column ``col``."""
-    n = col.size
-    c = np.zeros(m)
-    c[:n] = col
-    if n > 1:
-        c[m - n + 1 :] = col[1:][::-1]
-    return c
-
-
-class SymmetricToeplitz:
-    """Symmetric Toeplitz operator with an O(N log N) product.
-
-    The first column defines the matrix. The circulant embedding (size: next
-    power of two >= 2N-1) is transformed once, so repeated products against
-    the same matrix reuse the kernel FFT.
-    """
-
-    def __init__(self, first_column):
-        col = np.asarray(first_column, dtype=np.float64)
-        if col.ndim != 1 or col.size == 0:
-            raise ParameterError("first_column must be a non-empty 1-D array")
-        self.n = col.size
-        self._m = _embed_size(self.n)
-        self._kernel_fft = np.fft.rfft(_circulant_embedding(col, self._m))
-
-    def matmat(self, xs) -> np.ndarray:
-        """Apply to each column of ``xs`` (N x K), returning an N x K array."""
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2 or xs.shape[0] != self.n:
-            raise ParameterError("column block must be N x K")
-        y = np.fft.irfft(
-            self._kernel_fft[:, None] * np.fft.rfft(xs, self._m, axis=0), self._m, axis=0
-        )
-        return y[: self.n]
-
-
-def toeplitz_apply(first_column, x) -> np.ndarray:
-    """Product B @ x for the symmetric Toeplitz matrix defined by its first column.
-
-    Uses circulant embedding and FFT convolution; matches the dense matvec to
-    machine precision in O(N log N).
-
-    Parameters
-    ----------
-    first_column : array_like
-        First column (equivalently first row) of the matrix.
-    x : array_like
-        Vector of the same length.
-
-    Returns
-    -------
-    ndarray
-    """
-    x = np.asarray(x, dtype=np.float64)
-    op = SymmetricToeplitz(first_column)
-    if x.shape != (op.n,):
-        raise ParameterError(
-            f"length mismatch: first_column has {op.n} entries, x has {x.shape}"
-        )
-    return op.matmat(x[:, None])[:, 0]
 
 
 def sinc_identity_residual(w: float, m: int, n: int, L: int) -> float:

@@ -95,7 +95,6 @@ from .kernel import (
     RESOLUTION_FLOOR,
     ProlateParams,
     _check_eps,
-    _circulant_embedding,
     build_prolate_matrix,
     dense_cap,
     sinc_kernel,
@@ -370,6 +369,17 @@ def _block_eigenvectors(
 def _half_size(n: int) -> int:
     """P, the least power of two >= n: B embeds in a circulant of size 2P."""
     return 1 << (n - 1).bit_length()
+
+
+def _circulant_embedding(col: np.ndarray, m: int) -> np.ndarray:
+    """First column of the size-m circulant (m >= 2n - 1) whose leading n x n
+    block is the symmetric Toeplitz matrix with first column ``col``."""
+    n = col.size
+    c = np.zeros(m)
+    c[:n] = col
+    if n > 1:
+        c[m - n + 1 :] = col[1:][::-1]
+    return c
 
 
 @functools.lru_cache(maxsize=1)

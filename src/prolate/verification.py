@@ -4,6 +4,11 @@ Each suite returns a list of CheckResult records with stable identifiers, so
 CI can pin on individual properties. Checks are deterministic for a fixed
 seed.
 
+``spectrum.rayleigh-parseval`` checks the route behind every eigenvalue: the
+Parseval sums of ``spectrum._rayleigh_quotients`` against s^T B s and
+s^T (I - B) s taken by ``math.fsum`` from the dense product, on seeded unit
+vectors alternately even and odd about the middle, at odd and even N.
+
 One :func:`run_suite` call keeps a store (:class:`_RunStore`) that the suites
 share: each instance's dense spectrum, its full tridiagonal spectrum (orders
 0..N-1) and each boundary matrix's singular values are computed at most once
@@ -38,7 +43,6 @@ from .kernel import (
     sinc_identity_residual,
     sinc_identity_tail_bound,
     sinc_kernel,
-    toeplitz_apply,
 )
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES"]
@@ -107,16 +111,24 @@ def _check_sinc_bound(rng) -> CheckResult:
     return _result("kernel.sinc-bound", worst <= 0.0, f"max excess {worst:.3e}")
 
 
-def _check_toeplitz_matvec(rng) -> CheckResult:
+def _check_rayleigh_parseval(rng) -> CheckResult:
     worst = 0.0
+    signs = np.tile([1.0, -1.0], 12)  # the columns' parities, even first as for k0 = 0
     for n in (7, 64, 257, 1024):
-        col = sinc_kernel(0.21, np.arange(n))
-        dense = build_prolate_matrix(ProlateParams(n, 0.21))
-        for _ in range(25):
-            x = rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            worst = max(worst, float(np.max(np.abs(toeplitz_apply(col, x) - dense @ x))))
-    return _result("kernel.toeplitz-matvec", worst <= 1e-12, f"max |fft - dense| {worst:.3e}")
+        p = ProlateParams(n, 0.21)
+        x = rng.standard_normal((n, 24))
+        s = 0.5 * (x + signs * x[::-1])  # exactly even or odd
+        s /= np.linalg.norm(s, axis=0)
+        b = build_prolate_matrix(p)
+        # column by column: a matrix product would have BLAS allocate a workspace
+        bs = np.stack([b @ col for col in s.T], axis=1)
+        for reflected, ks in ((False, bs), (True, s - bs)):
+            got = spec._rayleigh_quotients(p, s, reflected, 0)
+            want = [math.fsum(col) for col in (s * ks).T.tolist()]
+            worst = max(worst, float(np.max(np.abs(got - want))))
+    return _result(
+        "spectrum.rayleigh-parseval", worst <= 1e-13, f"max |parseval - dense| {worst:.3e}"
+    )
 
 
 def _check_sinc_identity(rng) -> CheckResult:
@@ -193,7 +205,7 @@ def suite_spectrum(seed: int, store: _RunStore) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     return [
         _check_sinc_bound(rng),
-        _check_toeplitz_matvec(rng),
+        _check_rayleigh_parseval(rng),
         _check_sinc_identity(rng),
         _check_prolate_symmetry(),
         _check_trace(store),

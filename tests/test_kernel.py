@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from prolate import (
     sinc_identity_residual,
     sinc_identity_tail_bound,
     sinc_kernel,
-    toeplitz_apply,
 )
 from prolate.kernel import dense_cap, near_block_rows, sin_cos_2pi_product, snap_to_integer
 
@@ -54,21 +55,32 @@ def test_sinc_entry_even_bit_exact():
 
 
 def test_sinc_kernel_is_the_sine_of_the_shared_reduction_over_pi_t():
-    # the sine-only kernel keeps the bits of the sine that sin_cos_2pi_product gives
+    # the sine-only kernel keeps the bits of the sine that sin_cos_2pi_product gives;
+    # past max/pi, where pi |t| overflows, it is mpmath's value to the subnormal spacing
     rng = np.random.default_rng(11)
+    top = sys.float_info.max
     t = np.concatenate([
         [0.0, -0.0, 1.0, -1.0, 0.5, -2.75, 2.0**996, -(2.0**996), 2.0**1000, -(2.0**1020)],
+        [top / math.pi, math.nextafter(top / math.pi, top), 1.5e308, -1.5e308, top, -top],
         rng.integers(-(1 << 40), 1 << 40, 200).astype(np.float64),
         rng.uniform(-1e6, 1e6, 200),
     ])
     zero = t == 0.0
-    ta = np.abs(t[~zero])
-    for w in rng.uniform(0.0, 0.5, 8):
+    huge = np.abs(t) > top / math.pi
+    fits = ~zero & ~huge
+    ta = np.abs(t[fits])
+    # w t is an integer at |t| ~ 1e308 unless w is tiny: these give subnormals there
+    for w in [*rng.uniform(0.0, 0.5, 8), 3.3e-308, 7.1e-309]:
         got = sinc_kernel(w, t)
         assert np.all(got[zero] == 2.0 * w)
         want = sin_cos_2pi_product(w, ta)[0] / (math.pi * ta)
-        assert np.array_equal(got[~zero], want)
-        assert np.array_equal(np.signbit(got[~zero]), np.signbit(want))
+        assert np.array_equal(got[fits], want)
+        assert np.array_equal(np.signbit(got[fits]), np.signbit(want))
+        with mpmath.workdps(400):
+            for x, g in zip(t[huge].tolist(), got[huge].tolist()):
+                x = mpmath.mpf(x)
+                exact = mpmath.sin(2 * mpmath.pi * mpmath.mpf(w) * x) / (mpmath.pi * x)
+                assert abs(g - exact) <= 2.0**-1074, (w, x, g)
 
 
 def test_sinc_bound_property():
@@ -116,34 +128,6 @@ def test_prolate_matrix_cap(monkeypatch):
     monkeypatch.setenv("PROLATE_DENSE_CAP", "8192")
     assert dense_cap() == 8192
     build_prolate_matrix(ProlateParams(5000, 0.1))  # now under the cap
-
-
-def test_toeplitz_apply_identity_column():
-    e0 = np.zeros(16)
-    e0[0] = 1.0
-    x = np.linspace(-1, 1, 16)
-    assert np.allclose(toeplitz_apply(e0, x), x, rtol=0, atol=1e-14)
-
-
-def test_toeplitz_apply_zero_column():
-    x = np.ones(9)
-    assert np.all(toeplitz_apply(np.zeros(9), x) == 0.0)
-
-
-def test_toeplitz_apply_matches_dense():
-    n, w = 256, 0.125
-    col = sinc_kernel(w, np.arange(n))
-    dense = build_prolate_matrix(ProlateParams(n, w))
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        assert np.max(np.abs(toeplitz_apply(col, x) - dense @ x)) <= 1e-12
-
-
-def test_toeplitz_apply_length_mismatch():
-    with pytest.raises(ParameterError):
-        toeplitz_apply(np.ones(4), np.ones(5))
 
 
 def test_sinc_identity_small_offsets():

@@ -1,9 +1,14 @@
-"""Scope of the store that one `verify` run shares across its suites."""
+"""The checks of `verify`: their stable ids, what the Parseval check catches, and
+the scope of the store that one run shares across its suites."""
 
 from collections import Counter
 
+import numpy as np
+import pytest
+
 import prolate.displacement as disp
 import prolate.spectrum as spec
+from prolate import verification
 from prolate.verification import run_suite
 
 
@@ -52,3 +57,53 @@ def test_one_run_solves_each_instance_once_and_the_next_run_again(monkeypatch):
     again = solves()
     assert [set(d) for d in again] == [set(d) for d in first]
     assert all(set(d.values()) == {2} for d in again)
+
+
+# the ids CI pins on, in run order: replacing or dropping a check shows here
+CHECK_IDS = [
+    "kernel.sinc-bound", "spectrum.rayleigh-parseval", "kernel.sinc-identity",
+    "kernel.prolate-structure", "spectrum.trace", "spectrum.ordering",
+    "spectrum.interlacing", "spectrum.symmetry", "spectrum.route-agreement",
+    "bounds.width-le-bounds", "bounds.envelope-containment", "bounds.sum-containment",
+    "bounds.prior-dominance", "bounds.pswf-identity", "bounds.proxy-containment",
+    "displacement.residual", "displacement.norm", "displacement.zolotarev-invariance",
+    "displacement.gamma-n-squared", "displacement.sv-decay", "displacement.gram-limit",
+    "displacement.loewner", "displacement.partition",
+    "chebsinc.nodes", "chebsinc.interp-chain", "chebsinc.lowrank",
+    "chebsinc.monomial-agreement", "chebsinc.derivative-bound",
+]
+
+
+def test_check_ids_are_stable():
+    assert [r.check_id for r in run_suite("all", 0)] == CHECK_IDS
+
+
+def _rayleigh_parseval(seed):
+    return verification._check_rayleigh_parseval(np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_rayleigh_parseval_check_passes(seed):
+    result = _rayleigh_parseval(seed)
+    assert result.passed, result.detail
+
+
+def test_rayleigh_parseval_check_fails_on_a_wrong_weight_or_parity(monkeypatch):
+    weights, squares = spec._parseval_weights, spec._parseval_squares
+
+    def full_weight_at_p(params, reflected, parity):
+        w = weights(params, reflected, parity)
+        if params.n % 2:
+            w[-1] *= 2.0  # bins 0..P
+        elif parity == 1:
+            w[0] *= 2.0  # bins P..1, backwards
+        return w
+
+    def other_parity_at_even_n(params, vecs, parity):
+        return squares(params, vecs, 1 - parity if params.n % 2 == 0 else parity)
+
+    for name, mutant in [("_parseval_weights", full_weight_at_p),
+                         ("_parseval_squares", other_parity_at_even_n)]:
+        with monkeypatch.context() as m:
+            m.setattr(spec, name, mutant)
+            assert not _rayleigh_parseval(0).passed, name
