@@ -84,12 +84,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 # not called here; bench/tracing.py wraps this module-level name
 from scipy.linalg import eigh_tridiagonal  # noqa: F401
 from scipy.linalg.lapack import dstebz, dstein
 
-from .bounds import proxy_delta, width_bound_thm1
+from .bounds import proxy_delta
 from .errors import CapacityError, NumericalError, ParameterError
 from .kernel import (
     RESOLUTION_FLOOR,
@@ -286,25 +285,26 @@ def _concentration_eigenvectors(
         first = klo + (klo + parity) % 2  # first order >= klo of this parity
         if first > khi:
             continue
-        try:
-            shifts, half = _block_eigenvectors(
-                *block, first // 2, (khi - parity) // 2, tol, window if klo == khi else None
-            )
-        except LinAlgError as exc:
-            raise NumericalError(
-                f"tridiagonal eigensolver failed for orders {klo}..{khi} "
-                f"(n={n}, w={params.w}): {exc}"
-            ) from exc
+        shifts, half = _block_eigenvectors(
+            *block, first // 2, (khi - parity) // 2, tol, window if klo == khi else None
+        )
         chis[first - klo :: 2] = shifts
         _mirror(half, n, parity, vecs[:, first - klo :: 2])
     return chis, vecs
 
 
-def _stebz_by_value(diag: np.ndarray, off: np.ndarray, vl: float, vu: float, tol: float) -> np.ndarray:
-    """The block's eigenvalues in (vl, vu], bisected to ``tol`` (LAPACK ``stebz``)."""
-    m, w, _, _, info = dstebz(diag, off, 1, vl, vu, 0, 0, tol, "E")
+def _stebz(diag: np.ndarray, off: np.ndarray, select: int, lo, hi, tol: float) -> np.ndarray:
+    """The block's eigenvalues in (lo, hi] (``select`` 1) or its lo-th..hi-th
+    smallest, counted from 1 (``select`` 2), ascending, bisected to ``tol`` by
+    LAPACK ``stebz``: the one bisection entry point, called with the
+    arguments that scipy's tridiagonal solvers pass to it."""
+    vl, vu, il, iu = (lo, hi, 0, 0) if select == 1 else (0.0, 1.0, lo, hi)
+    m, w, _, _, info = dstebz(diag, off, select, vl, vu, il, iu, tol, "E")
     if info != 0:
-        raise NumericalError(f"LAPACK stebz failed in ({vl}, {vu}] (info={info})")
+        what = f"({lo}, {hi}]" if select == 1 else f"indices {lo}..{hi}"
+        raise NumericalError(
+            f"LAPACK stebz failed in {what} of a block of {diag.size} (info={info})"
+        )
     return w[:m]
 
 
@@ -330,12 +330,15 @@ def _block_eigenvectors(
     none of it. The block is one unreduced block: its off-diagonals, those of
     T, never vanish.
 
-    Bisection by index first bisects the whole block down to about ulp times
-    its norm, whatever ``tol`` says. So a one-index call with a ``window``
-    (vl, vu) bisects by value inside it instead, and takes its eigenvalue
-    when LAPACK's Sturm counts prove it is index jlo: exactly one eigenvalue
-    in (vl, vu] and exactly jlo in (vu, upper]. Otherwise, or with no
-    window, it bisects by index.
+    Every bisection goes through :func:`_stebz`, to ``tol`` (the Sturm count
+    above a window only needs its eigenvalues counted, so it takes a coarse
+    tolerance). Bisection by index first bisects the whole block down to
+    about ulp times its norm, whatever ``tol`` says. So a one-index call with
+    a ``window`` (vl, vu) bisects by value inside it instead, and takes its
+    eigenvalue when LAPACK's Sturm counts prove it is index jlo: exactly one
+    eigenvalue in (vl, vu] and exactly jlo in (vu, upper]. Otherwise, or with
+    no window, it bisects by index. A nonzero ``info`` from either raises
+    NumericalError.
     """
     size = diag.size
     if size == 1:
@@ -343,17 +346,14 @@ def _block_eigenvectors(
     shifts = None
     if window is not None and window[0] < window[1]:
         vl, vu = window
-        found = _stebz_by_value(diag, off, vl, vu, tol)
+        found = _stebz(diag, off, 1, vl, vu, tol)
         if found.size == 1 and (
-            _stebz_by_value(diag, off, vu, upper, upper - vu).size if vu < upper else 0
+            _stebz(diag, off, 1, vu, upper, upper - vu).size if vu < upper else 0
         ) == jlo:
             shifts = found
     if shifts is None:
         # ascending block order runs against k; flip so column j is index jlo + j
-        lo, hi = size - 1 - jhi, size - 1 - jlo
-        shifts = eigvalsh_tridiagonal(
-            diag, off, select="i", select_range=(lo, hi), lapack_driver="stebz", tol=tol
-        )[::-1]
+        shifts = _stebz(diag, off, 2, size - jhi, size - jlo, tol)[::-1]
     iblock, isplit = np.ones(size, dtype=np.int32), np.full(size, size, dtype=np.int32)
     vecs = np.empty((size, shifts.size))
     for j in range(shifts.size):
@@ -575,17 +575,14 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     points, at least an order apart) nearest the level crosses it. So the
     second end usually costs only the two orders that prove it, and a width
     about four probes. Probes with lambda or 1 - lambda at the resolution
-    floor count only by which side they fall on; after such a probe the
-    search bisects. Where the run is cut off at k = 0 or n - 1 the mirror is
-    wrong, which costs probes but changes no count: every count rests on
-    probes on both sides of each end.
-
-    The searches start inside a cover of orders around 2NW, thm1 wide on
-    each side, whose ends are taken to lie outside the run. An end is probed
-    only when a search reaches it, and the cover is widened if it lies inside.
-    Each widening doubles the reach (4 or more at first); at a reach of n the
-    cover's ends are the sentinels -1 and n, so widening stops within log2(n).
-    Probes are shared by all searches and thresholds, largest eps first.
+    floor (saturated) count only by which side they fall on; when the last
+    probe is saturated and ends the bracket, the search bisects between it
+    and its mirror image 2 mid - k, clipped into the bracket, since the
+    nearly symmetric run lies between the two. Where the run is cut off at
+    k = 0 or n - 1 the mirror is wrong, which costs probes but changes no
+    count: every count rests on probes on both sides of each end, or on the
+    sentinels -1 (outside) and n (inside) that start each bracket. Probes
+    are shared by all searches and thresholds, largest eps first.
 
     Parameters
     ----------
@@ -652,38 +649,28 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
 
     def next_order(lo: int, hi: int, level: float) -> int:
         """The order strictly inside (lo, hi) nearest where the model's line
-        crosses ``level``. The midpoint after a saturated probe: its value
-        says nothing, and a prediction would stall beside it."""
-        if probes and next(reversed(probes)) not in logits:
-            return (lo + hi) // 2
+        crosses ``level``. When the last probe is saturated and ends the
+        bracket, its value says nothing and a prediction would stall beside
+        it: the midpoint between it and its mirror image instead, clipped
+        into the bracket, as the run lies between them."""
+        last = next(reversed(probes), None)
+        if last in (lo, hi) and last not in logits:
+            other = min(max(round(2.0 * mid - last), lo), hi)
+            return min(max((last + other) // 2, lo + 1), hi - 1)
         k1, x1, dk = model(level)
         return round(min(max(k1 + (level - x1) * dk, lo + 1), hi - 1))
-
-    # the cover: the run is no wider than thm1 and straddles the orders around 2NW
-    center_lo = min(max(params.tbp_floor - 1, 0), n - 1)
-    center_hi = min(max(params.tbp_ceil, 0), n - 1)
-    reach = width_bound_thm1(n, eps_min).integer + 2
 
     def first_inside(inside, level: float) -> int:
         """First order k with ``inside(k)``, for a predicate of the probed orders
         that turns True as logit(lambda_k) falls through ``level``; orders -1
         and n count as False and True."""
-        nonlocal reach
         while True:
-            # the bracket that the probes prove, narrowed to the cover
+            # the bracket that the probes prove
             hi = min((k for k in probes if inside(k)), default=n)
             lo = max((k for k in probes if k < hi and not inside(k)), default=-1)
-            a = center_lo - reach if center_lo - reach > 0 else -1
-            b = center_hi + reach if center_hi + reach < n - 1 else n
-            lo_c, hi_c = max(lo, a), min(hi, b)
-            if hi_c - lo_c > 1:
-                probe(next_order(lo_c, hi_c, level), level)
-            elif (lo_c, hi_c) == (lo, hi):
+            if hi - lo <= 1:
                 return hi
-            elif (end := a if lo_c > lo else b) not in probes:
-                probe(end, level)
-            else:
-                reach *= 2
+            probe(next_order(lo, hi, level), level)
 
     # run [first, stop - 1]: first is the first order with 1 - lambda > eps,
     # stop the first with lambda <= eps

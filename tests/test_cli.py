@@ -636,17 +636,22 @@ def test_sweep_config_comments_blank_lines_and_bad_line(capsys, tmp_path):
 
 
 def test_eigensolver_failure_exit_four(capsys, monkeypatch):
-    # LAPACK's LinAlgError from the bisection by index surfaces as
+    # a nonzero info from LAPACK stebz bisecting by index surfaces as
     # NumericalError, exit 4; a slice bisects by index (a width probe first
     # bisects in a predicted window, see test_stebz_window_failure_raises)
+    import numpy as np
     import prolate.spectrum as spectrum
-    from scipy.linalg import LinAlgError
 
-    def fail(*args, **kwargs):
-        raise LinAlgError("stebz failed")
+    bisect = spectrum.dstebz
 
-    monkeypatch.setattr(spectrum, "eigvalsh_tridiagonal", fail)
+    def fail_by_index(diag, off, select, vl, vu, il, iu, tol, order):
+        if select != 2:
+            return bisect(diag, off, select, vl, vu, il, iu, tol, order)
+        empty = np.zeros(diag.size, dtype=np.int32)
+        return 0, np.zeros(diag.size), empty, empty, 1
+
+    monkeypatch.setattr(spectrum, "dstebz", fail_by_index)
     code, out, err = run(capsys, "eigs", "--n", "64", "--w", "0.1")
     assert (code, out) == (4, "")
-    assert err.startswith("error: tridiagonal eigensolver failed for orders ")
-    assert err.endswith("(n=64, w=0.1): stebz failed\n") and err.count("\n") == 1
+    assert err.startswith("error: LAPACK stebz failed in indices ")
+    assert err.endswith(" of a block of 32 (info=1)\n") and err.count("\n") == 1

@@ -139,14 +139,13 @@ def test_mispredicted_windows_fall_back_to_the_same_order(n, w, k, off, half):
     clear = np.min(np.abs(chi[k % 2 :: 2, None] - [vl, vu])) > 1e-9 * np.max(np.abs(chi))
 
     ref, ref_chi = spectrum._solve_slice(p, k, k)
-    calls = []
-    bisect = spectrum.eigvalsh_tridiagonal
-    with mock.patch.object(
-        spectrum, "eigvalsh_tridiagonal", lambda *a, **kw: calls.append(1) or bisect(*a, **kw)
-    ):
+    ranges = []
+    bisect = spectrum._stebz
+    with mock.patch.object(spectrum, "_stebz", lambda *a: ranges.append(a[2]) or bisect(*a)):
         got, got_chi = spectrum._solve_slice(p, k, k, (vl, vu))
     if clear and (n + 1 - k % 2) // 2 > 1:  # a block of one takes no bisection
-        assert len(calls) == (held != {k}), (held, calls)
+        # LAPACK's RANGE 2: bisection by index
+        assert ranges.count(2) == (held != {k}), (held, ranges)
     assert abs(got_chi[0] - ref_chi[0]) <= n * math.sin(2.0 * math.pi * w) / 2.0**16
     assert abs(got.lam[0] - ref.lam[0]) <= 4 * np.finfo(float).eps, (got.lam, ref.lam)
     assert abs(got.comp[0] - ref.comp[0]) <= 4 * np.finfo(float).eps, (got.comp, ref.comp)

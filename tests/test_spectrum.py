@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from prolate import (
-    BoundValue,
     CapacityError,
     NumericalError,
     ParameterError,
@@ -276,7 +275,6 @@ def test_parity_blocks_of_size_one_need_no_solve(monkeypatch, n, orders):
     def refuse(*args, **kwargs):
         raise AssertionError("a 1 x 1 parity block reached a solver")
 
-    monkeypatch.setattr(spectrum, "eigvalsh_tridiagonal", refuse)
     monkeypatch.setattr(spectrum, "dstebz", refuse)
     monkeypatch.setattr(spectrum, "dstein", refuse)
     _, ref = np.linalg.eigh(_dense_t(n, 0.2))
@@ -389,18 +387,22 @@ def test_stein_failure_raises(monkeypatch, capsys):
 def test_stebz_window_failure_raises(monkeypatch, capsys):
     # a nonzero info from LAPACK stebz while a width probe bisects in its
     # predicted window is a NumericalError, which the CLI reports as one
-    # error line with exit 4; slices bisect by index and never call it
+    # error line with exit 4; slices bisect by index and never bisect by value
     import prolate.spectrum as spectrum
     from prolate.cli import main
 
+    bisect = spectrum.dstebz
+
     def failing(diag, off, select, vl, vu, il, iu, tol, order):
+        if select != 1:
+            return bisect(diag, off, select, vl, vu, il, iu, tol, order)
         empty = np.zeros(diag.size, dtype=np.int32)
         return 0, np.zeros(diag.size), empty, empty, 1
 
     monkeypatch.setattr(spectrum, "dstebz", failing)
     p = ProlateParams(64, 0.2)
     tridiagonal_spectrum(p, 0, 63)
-    with pytest.raises(NumericalError, match="stebz failed in"):
+    with pytest.raises(NumericalError, match=r"LAPACK stebz failed in \(.* of a block of 32"):
         transition_width(p, 1e-3)
     code = main(["width", "--n", "1000", "--w", "0.125", "--eps", "1e-3"])
     out, err = capsys.readouterr()
@@ -570,15 +572,13 @@ def test_width_probes_at_two_pow_16_never_bisect_by_index(monkeypatch):
     # parity block by index (at 12 W across [1/16, 7/16], eps = 1e-13)
     import prolate.spectrum as spectrum
 
-    calls = []
-    bisect = spectrum.eigvalsh_tridiagonal
-    monkeypatch.setattr(
-        spectrum, "eigvalsh_tridiagonal", lambda *a, **kw: calls.append(1) or bisect(*a, **kw)
-    )
+    ranges = []
+    bisect = spectrum._stebz
+    monkeypatch.setattr(spectrum, "_stebz", lambda *a: ranges.append(a[2]) or bisect(*a))
     for w in np.linspace(1 / 16, 7 / 16, 12):
         report = transition_width(ProlateParams(65536, float(w)), 1e-13)
         assert 62 <= report.width <= 68 and len(report.probes) <= 4, (w, report)
-    assert calls == []
+    assert 2 not in ranges  # LAPACK's RANGE 2: bisection by index
 
 
 def test_width_probe_windows_hold_a_few_eigenvalues_at_most(monkeypatch):
@@ -592,15 +592,15 @@ def test_width_probe_windows_hold_a_few_eigenvalues_at_most(monkeypatch):
     p = ProlateParams(n, math.asin((1.0 + 1e-9) / n) / (2.0 * math.pi))
     uppers = {upper for _, _, upper in spectrum._parity_blocks(p)}
     sizes = []
-    by_value = spectrum._stebz_by_value
+    bisect = spectrum._stebz
 
-    def recording(diag, off, vl, vu, tol):
-        found = by_value(diag, off, vl, vu, tol)
-        if vu not in uppers:  # a window, not the count above one
+    def recording(diag, off, select, lo, hi, tol):
+        found = bisect(diag, off, select, lo, hi, tol)
+        if select == 1 and hi not in uppers:  # a window, not the count above one
             sizes.append(found.size)
         return found
 
-    monkeypatch.setattr(spectrum, "_stebz_by_value", recording)
+    monkeypatch.setattr(spectrum, "_stebz", recording)
     eps_list = [1e-3, 1e-8, 1e-13]
     full = tridiagonal_spectrum(p, 0, n - 1)
     for report in transition_widths(p, eps_list):
@@ -640,6 +640,24 @@ def test_transition_width_probe_where_the_run_is_cut_off():
     # in k: here 2NW ~ 3e-76, so one probe at k = 0 proves the run empty
     report = transition_width(ProlateParams(583, 2.754681989571331e-79), 1e-3)
     assert (report.width, report.probes) == (0, (0,))
+
+
+def test_saturated_probes_bisect_towards_their_mirror_image():
+    # a saturated probe (lambda or 1 - lambda at the resolution floor) that
+    # ends the bracket is bisected towards its mirror image about 2NW - 1/2,
+    # not across the bracket; one that ends no bracket starts no bisection
+    from prolate.spectrum import _count_run
+
+    cases = [(345, 0.05181053651154233, 9.9e-15), (4350, 0.0017565615081560815, 1.83e-15)]
+    reports = [transition_width(ProlateParams(n, w), eps) for n, w, eps in cases]
+    assert reports[0].probes == (20, 19, 51, 50)
+    assert len(reports[1].probes) <= 8, reports[1].probes
+    for (n, w, eps), report in zip(cases, reports):
+        assert len(set(report.probes)) == len(report.probes)
+        # orders 0..199 hold the whole run: the last is already below eps
+        head = tridiagonal_spectrum(ProlateParams(n, w), 0, 199)
+        assert head.lam[-1] <= eps
+        assert (report.width, report.k_first, report.k_last) == _count_run(head, eps)
 
 
 def test_width_count_evaluates_the_sinc_column_once(monkeypatch):
@@ -696,24 +714,6 @@ def test_transition_report_probes_stay_out_of_comparisons():
     alone, shared = transition_width(p, 1e-3), transition_widths(p, [1e-8, 1e-3])[1]
     assert alone.probes != shared.probes and alone == shared
     assert "probes" not in repr(alone)
-
-
-@pytest.mark.parametrize("n, w", [(64, 0.25), (300, 0.05), (777, 0.4), (1000, 0.125)])
-def test_transition_widths_widen_a_narrow_cover(monkeypatch, n, w):
-    # with a cover a few orders wide, the searches reach its ends, find them
-    # inside the run and widen it until they close on the full-spectrum runs
-    import prolate.spectrum as spectrum
-    from prolate.spectrum import _count_run
-
-    monkeypatch.setattr(spectrum, "width_bound_thm1", lambda n, eps: BoundValue(0.0, 0))
-    p = ProlateParams(n, w)
-    eps_list = [1e-3, 1e-8, 1e-13]
-    reports = transition_widths(p, eps_list)
-    full = tridiagonal_spectrum(p, 0, n - 1)
-    for report in reports:
-        assert (report.width, report.k_first, report.k_last) == _count_run(full, report.eps)
-    # the cover started at reach 2 around the 1/2-split orders
-    assert reports[-1].k_first < p.tbp_floor - 3 or reports[-1].k_last > p.tbp_ceil + 2
 
 
 def test_transition_widths_eps_validation():

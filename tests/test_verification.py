@@ -12,6 +12,21 @@ from prolate import verification
 from prolate.verification import run_suite
 
 
+# the ids CI pins on, in run order: replacing or dropping a check shows here
+CHECK_IDS = [
+    "kernel.sinc-bound", "spectrum.rayleigh-parseval", "kernel.sinc-identity",
+    "kernel.prolate-structure", "spectrum.trace", "spectrum.ordering",
+    "spectrum.interlacing", "spectrum.symmetry", "spectrum.route-agreement",
+    "bounds.width-le-bounds", "bounds.envelope-containment", "bounds.sum-containment",
+    "bounds.prior-dominance", "bounds.pswf-identity", "bounds.proxy-containment",
+    "displacement.residual", "displacement.norm", "displacement.zolotarev-invariance",
+    "displacement.gamma-n-squared", "displacement.sv-decay", "displacement.gram-limit",
+    "displacement.loewner", "displacement.partition",
+    "chebsinc.nodes", "chebsinc.interp-chain", "chebsinc.lowrank",
+    "chebsinc.monomial-agreement", "chebsinc.derivative-bound",
+]
+
+
 def test_one_run_solves_each_instance_once_and_the_next_run_again(monkeypatch):
     calls = Counter()
     memo = {}  # the test's own memo: the second run counts calls, not time
@@ -47,7 +62,9 @@ def test_one_run_solves_each_instance_once_and_the_next_run_again(monkeypatch):
             {k: c for k, c in calls.items() if k[0] == "svd"},
         ]
 
-    assert all(r.passed for r in run_suite("all", seed=3))
+    results = run_suite("all", seed=3)
+    assert [r.check_id for r in results] == CHECK_IDS
+    assert all(r.passed for r in results)
     first = solves()
     assert [len(d) for d in first] == [17, 18, 3]
     assert all(set(d.values()) == {1} for d in first)
@@ -57,25 +74,6 @@ def test_one_run_solves_each_instance_once_and_the_next_run_again(monkeypatch):
     again = solves()
     assert [set(d) for d in again] == [set(d) for d in first]
     assert all(set(d.values()) == {2} for d in again)
-
-
-# the ids CI pins on, in run order: replacing or dropping a check shows here
-CHECK_IDS = [
-    "kernel.sinc-bound", "spectrum.rayleigh-parseval", "kernel.sinc-identity",
-    "kernel.prolate-structure", "spectrum.trace", "spectrum.ordering",
-    "spectrum.interlacing", "spectrum.symmetry", "spectrum.route-agreement",
-    "bounds.width-le-bounds", "bounds.envelope-containment", "bounds.sum-containment",
-    "bounds.prior-dominance", "bounds.pswf-identity", "bounds.proxy-containment",
-    "displacement.residual", "displacement.norm", "displacement.zolotarev-invariance",
-    "displacement.gamma-n-squared", "displacement.sv-decay", "displacement.gram-limit",
-    "displacement.loewner", "displacement.partition",
-    "chebsinc.nodes", "chebsinc.interp-chain", "chebsinc.lowrank",
-    "chebsinc.monomial-agreement", "chebsinc.derivative-bound",
-]
-
-
-def test_check_ids_are_stable():
-    assert [r.check_id for r in run_suite("all", 0)] == CHECK_IDS
 
 
 def _rayleigh_parseval(seed):
