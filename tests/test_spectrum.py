@@ -411,6 +411,35 @@ def test_stebz_window_failure_raises(monkeypatch, capsys):
     assert err.startswith("error: LAPACK stebz failed in (") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n, w, parity", [(64, 0.2, 0), (301, 0.05, 1), (1000, 0.125, 0)])
+def test_stebz_matches_scipys_bisection_bit_for_bit(n, w, parity):
+    # the one bisection entry point makes the stebz calls that scipy's
+    # eigvalsh_tridiagonal makes, by index and by value, to the same bits
+    import prolate.spectrum as spectrum
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    p = ProlateParams(n, w)
+    diag, off, upper = spectrum._parity_blocks(p)[parity]
+    tol = n * math.sin(2.0 * math.pi * w) / 2.0**16
+    size = diag.size
+    full = np.sort(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
+    for jlo, jhi in [(0, 0), (size // 3, size // 3 + 4), (size - 2, size - 1)]:
+        il, iu = size - jhi, size - jlo  # jlo-th..jhi-th largest, stebz counts from 1
+        got = spectrum._stebz(diag, off, 2, il, iu, tol)
+        ref = eigvalsh_tridiagonal(
+            diag, off, select="i", select_range=(il - 1, iu - 1), lapack_driver="stebz", tol=tol
+        )
+        assert got.size == iu - il + 1 and np.array_equal(got, ref), (jlo, jhi)
+        # a window strictly between neighbouring eigenvalues holds the same ones
+        vl = (full[il - 2] + full[il - 1]) / 2.0 if il > 1 else full[0] - 1.0
+        vu = (full[iu - 1] + full[iu]) / 2.0 if iu < size else upper
+        got = spectrum._stebz(diag, off, 1, vl, vu, tol)
+        ref = eigvalsh_tridiagonal(
+            diag, off, select="v", select_range=(vl, vu), lapack_driver="stebz", tol=tol
+        )
+        assert got.size == iu - il + 1 and np.array_equal(got, ref), (vl, vu)
+
+
 @pytest.mark.parametrize(
     "n, w",
     [
@@ -658,6 +687,30 @@ def test_saturated_probes_bisect_towards_their_mirror_image():
         head = tridiagonal_spectrum(ProlateParams(n, w), 0, 199)
         assert head.lam[-1] <= eps
         assert (report.width, report.k_first, report.k_last) == _count_run(head, eps)
+
+
+@pytest.mark.parametrize("n, w", [(64, 0.25), (300, 0.05), (777, 0.4), (1000, 0.125)])
+def test_transition_widths_match_the_full_spectrum_runs(n, w):
+    # the search keeps only the bracket its probes prove: each count agrees
+    # with the full spectrum's, no order is probed twice, and the probes
+    # include both neighbours of every run end that lies inside (0, n)
+    from prolate.spectrum import _count_run
+
+    p = ProlateParams(n, w)
+    eps_list = [1e-3, 1e-8, 1e-13]
+    reports = transition_widths(p, eps_list)
+    full = tridiagonal_spectrum(p, 0, n - 1)
+    probes = reports[0].probes
+    assert len(set(probes)) == len(probes)
+    for report in reports:
+        assert report.probes == probes
+        assert (report.width, report.k_first, report.k_last) == _count_run(full, report.eps)
+        # first: the first order with 1 - lambda > eps; stop: with lambda <= eps
+        first = next((k for k in range(n) if full.comp[k] > report.eps), n)
+        stop = next((k for k in range(n) if full.lam[k] <= report.eps), n)
+        for end in (first, stop):
+            if 0 < end < n:
+                assert {end - 1, end} <= set(probes), (report.eps, end, probes)
 
 
 def test_width_count_evaluates_the_sinc_column_once(monkeypatch):
