@@ -8,6 +8,8 @@ symmetric Toeplitz matrix
 Its entries are samples of the sinc kernel ``g(t) = sin(2*pi*W*t)/(pi*t)``,
 which this module evaluates with an extended-precision argument reduction so
 that offsets up to ``|t| ~ 2**20`` lose essentially nothing to roundoff.
+The dense matrix is a strided numpy copy of one reflected column, so the
+dense route imports no scipy.
 
 All functions are pure and deterministic, so concurrent callers are safe.
 It is also the one home of the input-domain checks that the other modules share.
@@ -21,6 +23,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapacityError, DomainError, ParameterError
 
@@ -255,6 +258,10 @@ def sinc_entry(w: float, d: int) -> float:
 def build_prolate_matrix(params: ProlateParams) -> np.ndarray:
     """Dense N x N prolate matrix for ``params``.
 
+    The matrix is a strided copy of one reflected sinc column, made with
+    numpy alone: the same entries, bit for bit, as ``scipy.linalg.toeplitz``
+    gives, without importing scipy.
+
     Parameters
     ----------
     params : ProlateParams
@@ -262,7 +269,8 @@ def build_prolate_matrix(params: ProlateParams) -> np.ndarray:
     Returns
     -------
     ndarray
-        Symmetric Toeplitz matrix, bit-equal across the diagonal band.
+        Symmetric Toeplitz matrix, bit-equal across the diagonal band; a new
+        C-contiguous, writeable array.
 
     Raises
     ------
@@ -272,10 +280,13 @@ def build_prolate_matrix(params: ProlateParams) -> np.ndarray:
     limit = dense_cap()
     if params.n > limit:
         raise CapacityError(f"n = {params.n} exceeds dense materialization cap {limit}")
-    col = sinc_kernel(params.w, np.arange(params.n))
-    from scipy.linalg import toeplitz
-
-    return toeplitz(col)
+    n = params.n
+    col = sinc_kernel(params.w, np.arange(n))
+    # row i is (c[i], ..., c[1], c[0], c[1], ...): a window of the reflected
+    # column that starts one entry further back per row
+    vals = np.concatenate((col[:0:-1], col))
+    step = vals.strides[0]
+    return as_strided(vals[n - 1 :], (n, n), (-step, step)).copy()
 
 
 def sinc_identity_residual(w: float, m: int, n: int, L: int) -> float:

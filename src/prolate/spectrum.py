@@ -75,6 +75,11 @@ The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
 ``bounds.proxy_delta`` of them, so :func:`pswf_proxy` and
 :func:`proxy_width_interval` are spectrum computations on that instance.
+
+The module imports no scipy. Its names ``dstebz``, ``dstein`` and
+``eigh_tridiagonal`` are forwarders that import the scipy routine on the
+first call and pass every argument through, so the first solve loads
+``scipy.linalg`` and commands that solve nothing start without it.
 """
 
 from __future__ import annotations
@@ -84,9 +89,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# not called here; bench/tracing.py wraps this module-level name
-from scipy.linalg import eigh_tridiagonal  # noqa: F401
-from scipy.linalg.lapack import dstebz, dstein
 
 from .bounds import proxy_delta
 from .errors import CapacityError, NumericalError, ParameterError
@@ -119,6 +121,24 @@ ADVISORY_EPS = 1e-12
 #: entries per chunk of a slice's columns that are mirrored or transformed at
 #: once (4 MiB of doubles), so the workspace does not grow with the slice
 _CHUNK_ENTRIES = 2**19
+
+
+# LAPACK forwarders: importing scipy.linalg is about half of the CLI's
+# start-up, so it waits for the first call (see the module docstring)
+def dstebz(*args, **kwargs):
+    from scipy.linalg.lapack import dstebz
+    return dstebz(*args, **kwargs)
+
+
+def dstein(*args, **kwargs):
+    from scipy.linalg.lapack import dstein
+    return dstein(*args, **kwargs)
+
+
+# not called here; bench/tracing.py wraps this module-level name
+def eigh_tridiagonal(*args, **kwargs):
+    from scipy.linalg import eigh_tridiagonal
+    return eigh_tridiagonal(*args, **kwargs)
 
 
 @dataclass
@@ -225,22 +245,24 @@ def _column_chunks(count: int, length: int) -> list[slice]:
     return [slice(j, j + step) for j in range(0, count, step)]
 
 
-def _mirror(block: np.ndarray, n: int, parity: int, out: np.ndarray) -> None:
-    """Fill ``out`` (n x K) with the unit length-n vectors of parity-block
-    vectors (the K columns of ``block``).
+def _mirror(n: int, parity: int, out: np.ndarray) -> None:
+    """Turn the parity-block vectors in the first rows of ``out`` (n x K) into
+    unit length-n vectors, in place.
 
-    The first half is copied and reflected with the parity's sign; for odd n
-    the middle entry is sqrt(2) times the even block's last (see
+    The first half is reflected into the second with the parity's sign; for
+    odd n the middle entry is sqrt(2) times the even block's last (see
     :func:`_parity_block`), or 0 for the odd block.
     """
     m = n // 2
-    out[:m] = block[:m]
     if parity == 0:
-        out[n - m :] = block[:m][::-1]
+        out[n - m :] = out[:m][::-1]
     else:
-        np.negative(block[:m][::-1], out=out[n - m :])
+        np.negative(out[:m][::-1], out=out[n - m :])
     if n % 2:
-        out[m] = math.sqrt(2.0) * block[m] if parity == 0 else 0.0
+        if parity == 0:
+            out[m] *= math.sqrt(2.0)
+        else:
+            out[m] = 0.0
     for cols in _column_chunks(out.shape[1], n):
         out[:, cols] /= np.linalg.norm(out[:, cols], axis=0)
 
@@ -285,11 +307,11 @@ def _concentration_eigenvectors(
         first = klo + (klo + parity) % 2  # first order >= klo of this parity
         if first > khi:
             continue
-        shifts, half = _block_eigenvectors(
-            *block, first // 2, (khi - parity) // 2, tol, window if klo == khi else None
+        out = vecs[:, first - klo :: 2]
+        chis[first - klo :: 2] = _block_eigenvectors(
+            *block, first // 2, (khi - parity) // 2, tol, window if klo == khi else None, out
         )
-        chis[first - klo :: 2] = shifts
-        _mirror(half, n, parity, vecs[:, first - klo :: 2])
+        _mirror(n, parity, out)
     return chis, vecs
 
 
@@ -316,10 +338,11 @@ def _block_eigenvectors(
     jhi: int,
     tol: float,
     window: tuple[float, float] | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors for the jlo-th..jhi-th largest eigenvalues
-    of one block (all below ``upper``), in descending eigenvalue order, the
-    vectors as columns.
+    out: np.ndarray,
+) -> np.ndarray:
+    """Eigenvalues for the jlo-th..jhi-th largest eigenvalues of one block (all
+    below ``upper``), in descending eigenvalue order; their eigenvectors go
+    into the first ``diag.size`` rows of the columns of ``out``.
 
     Coarse bisection gives one shift per eigenvalue, and LAPACK ``stein``
     (inverse iteration, which perturbs a singular shift itself) turns each
@@ -342,7 +365,8 @@ def _block_eigenvectors(
     """
     size = diag.size
     if size == 1:
-        return diag.copy(), np.ones((1, 1))
+        out[0] = 1.0
+        return diag.copy()
     shifts = None
     if window is not None and window[0] < window[1]:
         vl, vu = window
@@ -355,15 +379,14 @@ def _block_eigenvectors(
         # ascending block order runs against k; flip so column j is index jlo + j
         shifts = _stebz(diag, off, 2, size - jhi, size - jlo, tol)[::-1]
     iblock, isplit = np.ones(size, dtype=np.int32), np.full(size, size, dtype=np.int32)
-    vecs = np.empty((size, shifts.size))
     for j in range(shifts.size):
         vec, info = dstein(diag, off, shifts[j : j + 1], iblock, isplit)
         if info != 0:
             raise NumericalError(
                 f"LAPACK stein did not converge at shift {shifts[j]} (info={info})"
             )
-        vecs[:, j] = vec[:, 0]
-    return shifts, vecs
+        out[:size, j] = vec[:, 0]
+    return shifts
 
 
 def _half_size(n: int) -> int:

@@ -122,6 +122,17 @@ def test_prolate_matrix_structure():
         assert np.ptp(band) == 0.0  # Toeplitz, bit-equal along each band
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 257, 1000, 2048])
+@pytest.mark.parametrize("w", [1e-300, 0.01, 0.21, 0.49])
+def test_prolate_matrix_equals_scipy_toeplitz_bit_for_bit(n, w):
+    # the numpy strided copy makes the matrix scipy.linalg.toeplitz makes
+    from scipy.linalg import toeplitz
+
+    b = build_prolate_matrix(ProlateParams(n, w))
+    assert b.tobytes() == toeplitz(sinc_kernel(w, np.arange(n))).tobytes()
+    assert b.shape == (n, n) and b.flags.c_contiguous and b.flags.writeable
+
+
 def test_prolate_matrix_cap(monkeypatch):
     with pytest.raises(CapacityError):
         build_prolate_matrix(ProlateParams(5000, 0.1))

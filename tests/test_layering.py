@@ -81,10 +81,40 @@ def test_demo_imports_resolve(demo):
                 assert hasattr(mod, alias.name), (demo.name, node.module, alias.name)
 
 
-def test_cli_import_leaves_out_scipy_fft():
-    # numpy.fft does the package's transforms; importing scipy.fft would add
-    # tens of milliseconds and a few MiB to every start-up
-    code = "import sys, prolate.cli; print('scipy.fft' in sys.modules)"
+# the package's start-up imports no scipy module: numpy does the transforms
+# and builds the dense matrix, and spectrum's LAPACK forwarders import
+# scipy.linalg on the first solve, so commands that solve nothing skip the
+# half of the start-up that importing it costs
+_START_UP = """
+import contextlib, io, sys
+code = 0
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    import prolate
+    if sys.argv[1:]:
+        from prolate.cli import main
+        code = main(sys.argv[1:])
+print(code, 'scipy' in {m.split('.')[0] for m in sys.modules}, 'scipy.linalg' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ([], "0 False False"),
+        (["--help"], "0 False False"),
+        (["width", "--n", "-3", "--w", "0.2"], "2 False False"),
+        (["bounds", "--n", "1000", "--w", "0.125", "--eps", "1e-3", "--k", "250", "--K", "250"],
+         "0 False False"),
+        (["eigs", "--n", "256", "--w", "0.2", "--method", "dense", "--krange", "40:60"],
+         "0 False False"),
+        # the first solve loads scipy.linalg through the forwarders
+        (["width", "--n", "64", "--w", "0.2", "--eps", "1e-3"], "0 True True"),
+    ],
+    ids=["import", "help", "usage-error", "bounds", "dense-eigs", "width"],
+)
+def test_start_up_leaves_out_scipy(argv, expected):
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _START_UP, *argv], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
