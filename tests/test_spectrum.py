@@ -239,24 +239,55 @@ def test_tridiagonal_tiny_orders(n, lam, widths):
     assert [transition_width(p, eps).width for eps in (1e-3, 0.05, 0.2)] == widths
 
 
-@pytest.mark.parametrize("w", [0.05, 0.2])
-def test_eigenvectors_match_lapack(w):
-    # every order, odd and even, against scipy's bisection + stein vectors
+def _assert_vectors_match_lapack(n, w, klo, khi):
+    """Orders klo..khi, odd and even, against scipy's bisection + stein vectors."""
     from scipy.linalg import eigh_tridiagonal
 
     from prolate.spectrum import _concentration_eigenvectors, _tridiag_bands
 
-    n = 257
-    chis, got = _concentration_eigenvectors(ProlateParams(n, w), 0, n - 1)
+    chis, got = _concentration_eigenvectors(ProlateParams(n, w), klo, khi)
     vals, ref = eigh_tridiagonal(*_tridiag_bands(n, w), lapack_driver="stebz")
-    ref = ref[:, ::-1]  # ascending T order is descending k
+    # ascending T order is descending k
+    vals, ref = vals[::-1][klo : khi + 1], ref[:, ::-1][:, klo : khi + 1]
     # the shifts are T's eigenvalues to the coarse bisection tolerance, n sin(2 pi W) / 2^16
-    assert np.max(np.abs(chis - vals[::-1])) <= n * np.sin(2 * np.pi * w) / 2.0**16
+    assert np.max(np.abs(chis - vals)) <= n * np.sin(2 * np.pi * w) / 2.0**16
     signs = np.sign(np.sum(got * ref, axis=0))
     assert np.max(np.abs(got - ref * signs)) <= 1e-10
     # order k has the parity of k, so both parities are covered
-    parity = (-1.0) ** np.arange(n)
+    parity = (-1.0) ** np.arange(klo, khi + 1)
     assert np.max(np.abs(got[::-1] - got * parity)) <= 1e-10
+
+
+@pytest.mark.parametrize("w", [0.05, 0.2])
+def test_eigenvectors_match_lapack(w):
+    # every order: each parity block whole, from one MRRR call
+    _assert_vectors_match_lapack(257, w, 0, 256)
+
+
+@pytest.mark.parametrize("w", [0.05, 0.2])
+def test_partial_slice_eigenvectors_match_lapack(w):
+    # orders 1..n-2 leave out the top of the even block and the bottom of the
+    # odd one, so both blocks go through bisection by index and stein
+    _assert_vectors_match_lapack(257, w, 1, 255)
+
+
+@pytest.mark.parametrize("n, w", [(1000, 0.125), (1001, 0.2), (4096, 0.01)])
+def test_whole_block_solve_matches_one_order_slices(n, w):
+    # a full slice takes each parity block from one MRRR call, a one-order
+    # slice bisects by index and runs stein: they agree to the accuracy the
+    # module docstring states, 2e-16 absolute where min(lambda, 1 - lambda)
+    # is at most 1e-2 and 1e-14 relative above it. At n = 4096 one-order
+    # slices take 1.3 ms each, so past order 255 (lambda far below the 1e-15
+    # floor, rounding noise of order 1e-18) only every fifth order is
+    # compared, both parities alike.
+    p = ProlateParams(n, w)
+    full = tridiagonal_spectrum(p, 0, n - 1)
+    orders = np.r_[0:256, 256 : n : 5 if n >= 4096 else 1]
+    got = np.minimum(full.lam, full.comp)[orders]
+    ref = np.array([min(s.lam[0], s.comp[0]) for s in (tridiagonal_spectrum(p, k, k) for k in orders)])
+    small = ref <= 1e-2
+    assert np.max(np.abs(got - ref)[small]) <= 2e-16
+    assert np.max(np.abs(got - ref)[~small] / ref[~small]) <= 1e-14
 
 
 def _dense_t(n, w):
@@ -364,6 +395,46 @@ def test_slice_workspace_stays_within_its_eigenvector_block():
         tracemalloc.stop()
     block = p.n * 256 * 8
     assert peak - block <= 3 * 2**22, peak / 2**20
+
+
+def test_whole_slice_workspace_stays_within_a_block_of_a_quarter():
+    # a full slice solves each parity block of about n/2 with one MRRR call,
+    # which returns its own m x m vectors, a quarter of the n x n eigenvector
+    # block (32 MiB at n = 2^11), before they are copied into it; the rest of
+    # the transient peak is the chunked mirror and transforms, three chunks
+    # of 4 MiB at most. The first LAPACK call's scipy.linalg import is kept
+    # out of the trace as in the test above.
+    import tracemalloc
+
+    tridiagonal_spectrum(ProlateParams(64, 0.2), 10, 10)
+    p = ProlateParams(2048, 0.1)
+    tracemalloc.start()
+    try:
+        tridiagonal_spectrum(p, 0, p.n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = p.n * p.n * 8
+    assert peak - block <= block / 4 + 3 * 2**22, peak / 2**20
+
+
+def test_stemr_failure_raises(monkeypatch, capsys):
+    # scipy's LinAlgError from the whole-block MRRR solve is a NumericalError,
+    # which the CLI reports as one error line with exit 4
+    import prolate.spectrum as spectrum
+    from prolate.cli import main
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvectors did not converge")
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", failing)
+    with pytest.raises(NumericalError, match="stemr"):
+        tridiagonal_spectrum(ProlateParams(64, 0.2), 0, 63)
+    code = main(["eigs", "--n", "64", "--w", "0.2", "--krange", "0:63"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_stein_failure_raises(monkeypatch, capsys):
