@@ -17,7 +17,10 @@ wider bands.
 
 Interpolants are evaluated in barycentric form for stability; the monomial
 factorization is materialized only to exhibit the rank, with k capped at 8
-to keep the Vandermonde factor well conditioned.
+to keep the Vandermonde factor well conditioned. One interpolant may carry
+many shifts n at once: the shifts share the nodes and the barycentric rows,
+so its values hold one column per shift. :func:`lowrank_block_approx`
+evaluates the near block through such an interpolant.
 """
 
 from __future__ import annotations
@@ -106,11 +109,14 @@ class ChebInterpolant:
     """Chebyshev interpolant of a shifted sinc kernel on [a, b].
 
     Degree k-1 through the k first-kind Chebyshev nodes; evaluation uses the
-    barycentric formula and reproduces the node values exactly.
+    barycentric formula and reproduces the node values exactly. With an
+    integer ``shift`` the values have length k; with a 1-D array of m shifts
+    they are k x m, one column per shift, and a call returns len(t) x m
+    (length m for a scalar t).
     """
 
     w: float
-    shift: int
+    shift: int | np.ndarray
     a: float
     b: float
     nodes: np.ndarray
@@ -119,17 +125,25 @@ class ChebInterpolant:
 
     def __call__(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=np.float64)
-        scalar = t.ndim == 0
         out = _bary_matrix(self.nodes, self.weights, np.atleast_1d(t)) @ self.values
-        return float(out[0]) if scalar else out
+        if t.ndim:
+            return out
+        return float(out[0]) if self.values.ndim == 1 else out[0]
 
 
-def cheb_interpolate(w: float, n: int, a: float, b: float, k: int) -> ChebInterpolant:
-    """Interpolant of g_n(t) = g(t - n) at the k >= 1 Chebyshev nodes of [a, b]."""
+def cheb_interpolate(w: float, n, a: float, b: float, k: int) -> ChebInterpolant:
+    """Interpolant of g_n(t) = g(t - n) at the k >= 1 Chebyshev nodes of [a, b].
+
+    ``n`` is an integer shift or a 1-D integer array of shifts; an array
+    gives one interpolant whose columns are the shifts' interpolants.
+    """
     if not a < b:
         raise ParameterError(f"need a < b, got a={a}, b={b}")
+    shifts = np.asarray(n)
+    if shifts.ndim > 1:
+        raise ParameterError(f"n must be an integer or a 1-D array, got {shifts.ndim}-D")
     nodes = _cheb_nodes(a, b, _at_least("k", k, 1))
-    values = sinc_kernel(w, nodes - n)
+    values = sinc_kernel(w, np.subtract.outer(nodes, shifts))
     return ChebInterpolant(w, n, float(a), float(b), nodes, values, _bary_weights(k))
 
 
@@ -171,14 +185,15 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
     """Approximate the near block X[l, n] = g(l - n), l = -L1..-1, by rank k.
 
     Column n carries the interpolant of g_n on [-L1, -1]. All columns share
-    the Chebyshev nodes, so one barycentric matrix and one least-squares fit
-    serve every column. The product of the monomial factor (powers of l)
-    with the coefficient factor exhibits rank <= k; the Frobenius error is
-    measured against the barycentric evaluation and compared with
-    sqrt(5600/pi) * (pi/48)^k. Defined only for W < 1/4; wider bands raise
-    DomainError (from :func:`kernel.near_block_rows`). Needs ``k >= 1``. A
-    block of more than ``XL_ENTRY_CAP`` entries raises CapacityError before
-    anything is allocated.
+    the Chebyshev nodes, so one :func:`cheb_interpolate` call over every
+    shift 0..N-1 gives the barycentric evaluation, and one least-squares fit
+    of its node values serves every column. The product of the monomial
+    factor (powers of l) with the coefficient factor exhibits rank <= k; the
+    Frobenius error is measured against the barycentric evaluation and
+    compared with sqrt(5600/pi) * (pi/48)^k. Defined only for W < 1/4; wider
+    bands raise DomainError (from :func:`kernel.near_block_rows`). Needs
+    ``k >= 1``. A block of more than ``XL_ENTRY_CAP`` entries raises
+    CapacityError before anything is allocated.
     """
     _at_least("k", k, 1)
     l1 = near_block_rows(params.w)
@@ -196,11 +211,10 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
             coefs = np.zeros((k, params.n))
             coefs[0] = block[0]
     else:
-        nodes = _cheb_nodes(-float(l1), -1.0, k)
-        values = sinc_kernel(params.w, nodes[:, None] - cols[None, :])
-        approx = _bary_matrix(nodes, _bary_weights(k), ells) @ values
+        interp = cheb_interpolate(params.w, cols, -float(l1), -1.0, k)
+        approx = interp(ells)
         if monomial:
-            coefs = np.polynomial.polynomial.polyfit(nodes, values, k - 1)
+            coefs = np.polynomial.polynomial.polyfit(interp.nodes, interp.values, k - 1)
     err = float(np.linalg.norm(block - approx, "fro"))
     bound = partition_block_bound(k)
     left = np.vander(ells, k, increasing=True) if monomial else None

@@ -230,10 +230,18 @@ def figure3_instances(
     return [(n, float(w)) for w in ws]
 
 
+def _number_list(kind, name: str, text: str) -> list:
+    """Comma-separated ``kind`` values; an empty entry is a ParameterError."""
+    toks = text.split(",")
+    if not all(tok.strip() for tok in toks):
+        raise ParameterError(f"{name} has an empty entry, got {text!r}")
+    return [_number(kind, name, tok) for tok in toks]
+
+
 def _parse_eps_list(text: str | None) -> list[float]:
     if not text:
         return list(DEFAULT_EPS_LIST)
-    return [_number(float, "eps", tok) for tok in text.split(",") if tok.strip()]
+    return _number_list(float, "eps", text)
 
 
 #: keys a sweep config may set; ``w`` is the figure1 bandwidth
@@ -285,8 +293,8 @@ def cmd_sweep(args) -> int:
     elif mode == "custom":
         n_text = str(args.n or cfg.get("n_list", ""))
         w_text = str(args.w or cfg.get("w_list", ""))
-        ns = [_number(int, "n_list", tok) for tok in n_text.split(",") if tok]
-        ws = [_number(float, "w_list", tok) for tok in w_text.split(",") if tok]
+        ns = _number_list(int, "n_list", n_text) if n_text else []
+        ws = _number_list(float, "w_list", w_text) if w_text else []
         instances = [(n, w) for n in ns for w in ws]
     else:
         raise ParameterError(f"unknown sweep mode {mode!r}")

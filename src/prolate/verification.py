@@ -20,6 +20,13 @@ tridiagonal spectrum per instance (envelope-containment builds no dense
 matrix); norm-cap and sv-decay read one SVD. Interlacing and the proxy check
 solve their own short slices, so no check's numbers depend on which suites
 ran.
+
+A check that runs over every order of an instance evaluates the instance's
+law once: envelope-containment and sum-containment take
+``bounds._discrete_law`` per instance and call ``bounds._envelope`` and
+``bounds._sum_bound``, the functions behind ``eig_envelope`` and
+``sum_bounds_cor2``, for each order. Likewise the chebsinc checks build one
+interpolant per (W, k) that carries all their shifts.
 """
 
 from __future__ import annotations
@@ -236,10 +243,10 @@ def _check_envelope_containment(store: _RunStore) -> CheckResult:
     bad = []
     for n in BOUNDS_GRID_N:
         for w in BOUNDS_GRID_W:
-            slc = store.full(ProlateParams(n, w))
-            for k in range(n):
-                env = bnd.eig_envelope(n, w, k)
-                lam = slc.lam_at(k)
+            p = ProlateParams(n, w)
+            law = bnd._discrete_law(p)  # what eig_envelope(n, w, k) builds for each k
+            for k, lam in enumerate(store.full(p).lam.tolist()):
+                env = bnd._envelope(law, k, midpoint=True)
                 if not (env.lower - 1e-10 <= lam <= env.upper + 1e-10):
                     bad.append(f"lam_{k}({n},{w}) = {lam} outside [{env.lower}, {env.upper}]")
     return _result(
@@ -272,16 +279,16 @@ def _check_sum_containment(store: _RunStore) -> CheckResult:
     grid = [(n, w) for n in BOUNDS_GRID_N for w in BOUNDS_GRID_W]
     for n, w in grid:
         p = ProlateParams(n, w)
-        fl, ce = p.tbp_floor, p.tbp_ceil
+        law = bnd._discrete_law(p)  # what sum_bounds_cor2(n, w, K, side) builds for each K
         heads, tails = _sum_curves(store.full(p))
-        for K in range(1, fl + 1):
-            cap = bnd.sum_bounds_cor2(n, w, K, "head") + sum_noise_allowance(K)
-            if heads[K - 1] > cap:
-                bad.append(f"head({n},{w},K={K}): {heads[K - 1]:.3e} > {cap:.3e}")
-        for K in range(ce, n):
-            cap = bnd.sum_bounds_cor2(n, w, K, "tail") + sum_noise_allowance(n - K)
-            if tails[K - ce] > cap:
-                bad.append(f"tail({n},{w},K={K}): {tails[K - ce]:.3e} > {cap:.3e}")
+        for K, head in enumerate(heads.tolist(), start=1):
+            cap = bnd._sum_bound(law, K, "head", n - 1) + sum_noise_allowance(K)
+            if head > cap:
+                bad.append(f"head({n},{w},K={K}): {head:.3e} > {cap:.3e}")
+        for K, tail in enumerate(tails.tolist(), start=p.tbp_ceil):
+            cap = bnd._sum_bound(law, K, "tail", n - 1) + sum_noise_allowance(n - K)
+            if tail > cap:
+                bad.append(f"tail({n},{w},K={K}): {tail:.3e} > {cap:.3e}")
     return _result("bounds.sum-containment", not bad, "; ".join(bad[:3]) or "all sums within caps")
 
 
@@ -456,13 +463,18 @@ def _check_nodes() -> CheckResult:
 
 def _check_interp_chain() -> CheckResult:
     bad = []
+    shifts = np.array([0, 3, 50])
     for w in (1.0 / 64.0, 1.0 / 32.0, 1.0 / 16.0):
         a, b = -float(near_block_rows(w)), -1.0
         grid = np.linspace(a, b, 1000)
-        for n in (0, 3, 50):
+        exact = sinc_kernel(w, np.subtract.outer(grid, shifts))
+        errs = [  # errs[k - 1][j]: shift j's max grid error at k nodes
+            np.max(np.abs(exact - cs.cheb_interpolate(w, shifts, a, b, k)(grid)), axis=0).tolist()
+            for k in range(1, 9)
+        ]
+        for j, n in enumerate(shifts.tolist()):
             for k in range(1, 9):
-                interp = cs.cheb_interpolate(w, n, a, b, k)
-                err = float(np.max(np.abs(sinc_kernel(w, grid - n) - interp(grid))))
+                err = errs[k - 1][j]
                 cap = cs.interpolation_error_bound(w, n, a, b, k)
                 if err > cap * (1.0 + 1e-9) + 1e-15:
                     bad.append(f"(w={w}, n={n}, k={k}): {err:.3e} > {cap:.3e}")
@@ -488,28 +500,31 @@ def _check_mono_bary_agreement() -> CheckResult:
     ells = np.arange(-l1, 0, dtype=np.float64)
     for k in range(1, 9):
         rep = cs.lowrank_block_approx(p, k)
-        bary = np.empty_like(rep.matrix)
-        for n in range(p.n):
-            bary[:, n] = cs.cheb_interpolate(p.w, n, -float(l1), -1.0, k)(ells)
+        bary = cs.cheb_interpolate(p.w, np.arange(p.n), -float(l1), -1.0, k)(ells)
         worst = max(worst, float(np.max(np.abs(rep.matrix - bary))))
     return _result(
         "chebsinc.monomial-agreement", worst <= 1e-8, f"max |monomial - barycentric| {worst:.3e}"
     )
 
 
-def _fd_derivative(w: float, k: int, t: float) -> float:
-    """Central finite differences with one Richardson step; k <= 3."""
-    h = 1e-4 * max(1.0, abs(t))
+def _fd_derivative(w: float, k: int, t: np.ndarray) -> np.ndarray:
+    """Central finite differences with one Richardson step at each point of ``t``; k <= 3.
 
-    def stencil(hh: float) -> float:
-        g = lambda x: float(sinc_kernel(w, np.array([x]))[0])
+    A stencil takes its values at every point from one sinc_kernel call.
+    """
+    h = 1e-4 * np.maximum(1.0, np.abs(t))
+
+    def stencil(hh: np.ndarray) -> np.ndarray:
         if k == 0:
-            return g(t)
+            return sinc_kernel(w, t)
         if k == 1:
-            return (g(t + hh) - g(t - hh)) / (2.0 * hh)
+            gp, gm = sinc_kernel(w, np.stack([t + hh, t - hh]))
+            return (gp - gm) / (2.0 * hh)
         if k == 2:
-            return (g(t + hh) - 2.0 * g(t) + g(t - hh)) / hh**2
-        return (g(t + 2 * hh) - 2.0 * g(t + hh) + 2.0 * g(t - hh) - g(t - 2 * hh)) / (2.0 * hh**3)
+            gp, g0, gm = sinc_kernel(w, np.stack([t + hh, t, t - hh]))
+            return (gp - 2.0 * g0 + gm) / hh**2
+        gp2, gp, gm, gm2 = sinc_kernel(w, np.stack([t + 2 * hh, t + hh, t - hh, t - 2 * hh]))
+        return (gp2 - 2.0 * gp + 2.0 * gm - gm2) / (2.0 * hh**3)
 
     d1, d2 = stencil(h), stencil(h / 2.0)
     return (4.0 * d2 - d1) / 3.0
@@ -532,9 +547,9 @@ def _check_derivative_bound(rng) -> CheckResult:
     w = 0.1
     ts = np.concatenate([[0.0, 10.0], rng.uniform(-20.0, 20.0, 40)])
     for k in range(4):
-        for t in ts:
-            val = abs(_fd_derivative(w, k, float(t)))
-            cap = float(cs.sinc_derivative_bound(w, k, float(t)))
+        vals = np.abs(_fd_derivative(w, k, ts)).tolist()
+        caps = cs.sinc_derivative_bound(w, k, ts).tolist()
+        for t, val, cap in zip(ts.tolist(), vals, caps):
             if val > cap * (1.0 + 1e-6) + 1e-9:
                 bad.append(f"fd k={k}, t={t:.3f}: {val:.3e} > {cap:.3e}")
     for k in (4, 5):

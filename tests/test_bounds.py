@@ -22,6 +22,7 @@ from prolate import (
     width_bound_thm1,
     width_bound_thm2,
 )
+from prolate import bounds
 from prolate.bounds import evaluate_bound_set, proxy_delta
 
 
@@ -226,6 +227,20 @@ class TestSumBounds:
             sum_bounds_cor2(1000, 0.125, 251, "head")
         with pytest.raises(DomainError):
             sum_bounds_cor2(1000, 0.125, 249, "tail")
+
+
+@pytest.mark.parametrize("n, w", [(1000, 0.125), (512, 0.35)])
+def test_one_law_per_instance_gives_every_envelope_and_sum_bound(n, w):
+    # `verify` evaluates an instance's law once and calls _envelope and
+    # _sum_bound per order: the same values as the public functions, every order
+    p = ProlateParams(n, w)
+    law = bounds._discrete_law(p)
+    for k in range(n):
+        assert bounds._envelope(law, k, midpoint=True) == eig_envelope(n, w, k)
+    for K in range(1, p.tbp_floor + 1):
+        assert bounds._sum_bound(law, K, "head", n - 1) == sum_bounds_cor2(n, w, K, "head")
+    for K in range(p.tbp_ceil, n):
+        assert bounds._sum_bound(law, K, "tail", n - 1) == sum_bounds_cor2(n, w, K, "tail")
 
 
 class TestSlepianApprox:

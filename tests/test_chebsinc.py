@@ -142,6 +142,31 @@ class TestChebInterpolant:
             cheb_interpolate(0.1, 0, 2.0, 1.0, 3)
         with pytest.raises(ParameterError):
             cheb_interpolate(0.1, 0, -2.0, -1.0, 0)
+        with pytest.raises(ParameterError):
+            cheb_interpolate(0.1, np.zeros((2, 2), dtype=int), -2.0, -1.0, 3)
+
+    @pytest.mark.parametrize("n, w", [(256, 1.0 / 32.0), (300, 0.05)])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_array_shift_matches_per_shift_interpolants(self, n, w, k):
+        # L1 = 8, and L1 = 5, where odd k puts a node exactly on a row
+        l1 = int(1.0 / (4.0 * w))
+        ells = np.arange(-l1, 0, dtype=float)
+        interp = cheb_interpolate(w, np.arange(n), -float(l1), -1.0, k)
+        got = interp(ells)
+        assert interp.values.shape == (k, n) and got.shape == (l1, n)
+        for j in range(n):
+            single = cheb_interpolate(w, j, -float(l1), -1.0, k)
+            want = single(ells)
+            assert np.array_equal(interp.values[:, j], single.values)
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_scalar_point_with_array_shift(self):
+        shifts = np.arange(5)
+        interp = cheb_interpolate(1.0 / 32.0, shifts, -8.0, -1.0, 4)
+        out = interp(-3.5)
+        assert out.shape == (5,)
+        assert np.array_equal(out, interp(np.array([-3.5]))[0])
+        assert out[3] == pytest.approx(cheb_interpolate(1.0 / 32.0, 3, -8.0, -1.0, 4)(-3.5))
 
 
 class TestLowRankBlock:

@@ -448,6 +448,15 @@ BIG = str(10**309)  # 310 digits: more than any double holds
         # computed the instances before it would still end at once)
         (["sweep", "--mode", "figure2", "--n-min", str(2**25), "--n-max", str(2**30)], 2),
         (["sweep", "--mode", "custom", "--n", str(2**25), "--w", "0.1"], 2),
+        # an empty entry in a comma list is refused, not skipped
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1", "--eps-list", "1e-3,,1e-8"], 2),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1", "--eps-list", "1e-3,"], 2),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1", "--eps-list", ", 1e-3"], 2),
+        (["sweep", "--mode", "figure2", "--n-max", "16", "--eps-list", "1e-3,,1e-8"], 2),
+        (["sweep", "--mode", "custom", "--n", "64,,128", "--w", "0.1"], 2),
+        (["sweep", "--mode", "custom", "--n", ",64", "--w", "0.1"], 2),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1,"], 2),
+        (["sweep", "--mode", "custom", "--n", "64", "--w", "0.1, ,0.2"], 2),
     ],
 )
 def test_input_contract(capsys, argv, code):
@@ -633,6 +642,29 @@ def test_sweep_config_comments_blank_lines_and_bad_line(capsys, tmp_path):
     cfg.write_text("mode = figure2\nn_max 32\n")
     code, out, err = run(capsys, "sweep", "--config", str(cfg))
     assert (code, out, err) == (2, "", "error: bad config line: n_max 32\n")
+
+
+@pytest.mark.parametrize(
+    "config, entry",
+    [
+        ("mode = custom\nn_list = 64\nw_list = 0.1\neps = 1e-3,,1e-8\n", "eps"),
+        ("mode = figure2\nn_min = 16\nn_max = 16\neps = 1e-3,\n", "eps"),
+        ("mode = custom\nn_list = 64,,128\nw_list = 0.1\n", "n_list"),
+        ("mode = custom\nn_list = 64\nw_list = 0.1,\n", "w_list"),
+    ],
+)
+def test_sweep_config_list_with_an_empty_entry_exits_two(capsys, tmp_path, config, entry):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(config)
+    code, out, err = run(capsys, "sweep", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {entry} has an empty entry, got ") and err.count("\n") == 1
+
+
+def test_sweep_without_an_eps_list_takes_the_default(capsys):
+    code, out, _ = run(capsys, "sweep", "--mode", "custom", "--n", "64", "--w", "0.1")
+    assert code == 0
+    assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0.001", "1e-08", "1e-13"]
 
 
 def test_eigensolver_failure_exit_four(capsys, monkeypatch):

@@ -6,6 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import prolate.bounds as bnd
+import prolate.chebsinc as cs
 import prolate.displacement as disp
 import prolate.spectrum as spec
 from prolate import verification
@@ -105,3 +107,29 @@ def test_rayleigh_parseval_check_fails_on_a_wrong_weight_or_parity(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(spec, name, mutant)
             assert not _rayleigh_parseval(0).passed, name
+
+
+def test_per_order_bounds_checks_fail_on_a_weakened_decay_law(monkeypatch):
+    # the checks evaluate one law per instance; a decay law at 1/100 of its
+    # value must still reach every order's envelope and every sum's cap
+    store = verification._RunStore()
+    checks = [verification._check_envelope_containment, verification._check_sum_containment]
+    assert all(check(store).passed for check in checks)
+    decay = bnd._decay
+    weak = lambda d, terms, summed=False: decay(d, terms, summed) / 100.0
+    monkeypatch.setattr(bnd, "_decay", weak)
+    for check in checks:
+        assert not check(store).passed, check.__name__
+
+
+def test_monomial_agreement_fails_on_a_shifted_matrix(monkeypatch):
+    assert verification._check_mono_bary_agreement().passed
+    approx = cs.lowrank_block_approx
+
+    def shifted(params, k):
+        rep = approx(params, k)
+        rep.matrix = rep.matrix + 1e-7
+        return rep
+
+    monkeypatch.setattr(cs, "lowrank_block_approx", shifted)
+    assert not verification._check_mono_bary_agreement().passed
