@@ -15,12 +15,12 @@ error stays below sqrt(5600/pi) * (pi/48)^k. The near block is part of the
 W < 1/4 partition, and :func:`lowrank_block_approx` raises DomainError for
 wider bands.
 
-Interpolants are evaluated in barycentric form for stability; the monomial
-factorization is materialized only to exhibit the rank, with k capped at 8
-to keep the Vandermonde factor well conditioned. One interpolant may carry
-many shifts n at once: the shifts share the nodes and the barycentric rows,
-so its values hold one column per shift. :func:`lowrank_block_approx`
-evaluates the near block through such an interpolant.
+Interpolants are evaluated in barycentric form, which is stable for every
+k. One interpolant may carry many shifts n at once: the shifts share the
+nodes and the barycentric rows, so its values hold one column per shift.
+:func:`lowrank_block_approx` evaluates the near block through such an
+interpolant, and its barycentric rows times its node values are the rank-k
+factorization itself.
 """
 
 from __future__ import annotations
@@ -49,11 +49,7 @@ __all__ = [
     "interpolation_error_bound",
     "LowRankBlockApprox",
     "lowrank_block_approx",
-    "MONOMIAL_RANK_CAP",
 ]
-
-#: monomial factorization is only materialized up to this k
-MONOMIAL_RANK_CAP = 8
 
 
 def sinc_derivative_bound(w: float, k: int, t) -> np.ndarray | float:
@@ -166,13 +162,14 @@ def interpolation_error_bound(w: float, n: int, a: float, b: float, k: int) -> f
 class LowRankBlockApprox:
     """Rank-k surrogate of the near boundary block with its certified error.
 
-    ``left_factor`` and ``right_factor`` are None above ``MONOMIAL_RANK_CAP``.
+    ``matrix`` is ``left_factor @ right_factor`` for every k: the L1 x k
+    barycentric rows at l = -L1..-1 times the k x N node values.
     """
 
     l1: int
     matrix: np.ndarray
-    left_factor: np.ndarray | None
-    right_factor: np.ndarray | None
+    left_factor: np.ndarray
+    right_factor: np.ndarray
     frobenius_error: float
     bound: float
 
@@ -186,14 +183,13 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
 
     Column n carries the interpolant of g_n on [-L1, -1]. All columns share
     the Chebyshev nodes, so one :func:`cheb_interpolate` call over every
-    shift 0..N-1 gives the barycentric evaluation, and one least-squares fit
-    of its node values serves every column. The product of the monomial
-    factor (powers of l) with the coefficient factor exhibits rank <= k; the
-    Frobenius error is measured against the barycentric evaluation and
-    compared with sqrt(5600/pi) * (pi/48)^k. Defined only for W < 1/4; wider
-    bands raise DomainError (from :func:`kernel.near_block_rows`). Needs
-    ``k >= 1``. A block of more than ``XL_ENTRY_CAP`` entries raises
-    CapacityError before anything is allocated.
+    shift 0..N-1 gives the node values (the right factor), and the
+    barycentric rows at the block's rows are the left factor; their product
+    has rank <= k. The Frobenius error of that product is compared with
+    sqrt(5600/pi) * (pi/48)^k. Defined only for W < 1/4; wider bands raise
+    DomainError (from :func:`kernel.near_block_rows`). Needs ``k >= 1``. A
+    block of more than ``XL_ENTRY_CAP`` entries raises CapacityError before
+    anything is allocated.
     """
     _at_least("k", k, 1)
     l1 = near_block_rows(params.w)
@@ -202,27 +198,21 @@ def lowrank_block_approx(params: ProlateParams, k: int) -> LowRankBlockApprox:
     ells = np.arange(-l1, 0, dtype=np.float64)
     cols = np.arange(params.n, dtype=np.float64)
     block = sinc_kernel(params.w, ells[:, None] - cols[None, :])
-    monomial = k <= MONOMIAL_RANK_CAP
-    coefs = None
     if l1 == 1:
         # degenerate interval [-1, -1]: interpolation at the point is exact
-        approx = block
-        if monomial:
-            coefs = np.zeros((k, params.n))
-            coefs[0] = block[0]
+        left = np.eye(1, k)
+        right = np.zeros((k, params.n))
+        right[0] = block[0]
     else:
         interp = cheb_interpolate(params.w, cols, -float(l1), -1.0, k)
-        approx = interp(ells)
-        if monomial:
-            coefs = np.polynomial.polynomial.polyfit(interp.nodes, interp.values, k - 1)
-    err = float(np.linalg.norm(block - approx, "fro"))
-    bound = partition_block_bound(k)
-    left = np.vander(ells, k, increasing=True) if monomial else None
+        left = _bary_matrix(interp.nodes, interp.weights, ells)
+        right = interp.values
+    matrix = left @ right
     return LowRankBlockApprox(
         l1=l1,
-        matrix=left @ coefs if monomial else approx,
+        matrix=matrix,
         left_factor=left,
-        right_factor=coefs,
-        frobenius_error=err,
-        bound=bound,
+        right_factor=right,
+        frobenius_error=float(np.linalg.norm(block - matrix, "fro")),
+        bound=partition_block_bound(k),
     )

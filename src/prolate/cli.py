@@ -238,12 +238,6 @@ def _number_list(kind, name: str, text: str) -> list:
     return [_number(kind, name, tok) for tok in toks]
 
 
-def _parse_eps_list(text: str | None) -> list[float]:
-    if not text:
-        return list(DEFAULT_EPS_LIST)
-    return _number_list(float, "eps", text)
-
-
 #: keys a sweep config may set; ``w`` is the figure1 bandwidth
 CONFIG_KEYS = frozenset(
     ("mode", "n_min", "n_max", "n", "w", "w_min", "w_max", "w_points", "eps", "n_list", "w_list")
@@ -270,31 +264,39 @@ def _read_config(path: str) -> dict:
 
 def cmd_sweep(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
-    # every setting: the flag if given, else the config value, else the default
-    mode = args.mode or cfg.get("mode", "figure2")
-    eps_list = _parse_eps_list(args.eps_list or cfg.get("eps"))
+
+    def setting(flag, key: str, default=None):
+        # the flag if given, else the config value, else the default; an
+        # empty string is given, so it is parsed (and refused) like any value
+        return flag if flag is not None else cfg.get(key, default)
+
+    mode = setting(args.mode, "mode", "figure2")
+    eps_text = setting(args.eps_list, "eps")
+    eps_list = list(DEFAULT_EPS_LIST) if eps_text is None else _number_list(float, "eps", eps_text)
 
     if mode == "figure1":
-        n = _number(int, "n", args.n or cfg.get("n", 1000))
-        w = _number(float, "w", args.w or cfg.get("w", 0.125))
+        n = _number(int, "n", setting(args.n, "n", 1000))
+        w = _number(float, "w", setting(args.w, "w", 0.125))
         rows = eigs_rows(n, w, None, "trid")
         _emit(rows, EIGS_HEADER, args.format, args.out)
         return EXIT_OK
     if mode == "figure2":
-        n_min = _number(int, "n_min", args.n_min or cfg.get("n_min", 2**4))
-        n_max = _number(int, "n_max", args.n_max or cfg.get("n_max", 2**12))
+        n_min = _number(int, "n_min", setting(args.n_min, "n_min", 2**4))
+        n_max = _number(int, "n_max", setting(args.n_max, "n_max", 2**12))
         instances = figure2_instances(n_min, n_max)
     elif mode == "figure3":
-        n = _number(int, "n", args.n or cfg.get("n", 2**12))
-        w_lo = _number(float, "w_min", args.w_min or cfg.get("w_min", 2**-10))
-        w_hi = _number(float, "w_max", args.w_max or cfg.get("w_max", 2**-2))
-        points = _number(int, "w_points", args.w_points or cfg.get("w_points", 101))
+        n = _number(int, "n", setting(args.n, "n", 2**12))
+        w_lo = _number(float, "w_min", setting(args.w_min, "w_min", 2**-10))
+        w_hi = _number(float, "w_max", setting(args.w_max, "w_max", 2**-2))
+        points = _number(int, "w_points", setting(args.w_points, "w_points", 101))
         instances = figure3_instances(n, w_lo, w_hi, points)
     elif mode == "custom":
-        n_text = str(args.n or cfg.get("n_list", ""))
-        w_text = str(args.w or cfg.get("w_list", ""))
-        ns = _number_list(int, "n_list", n_text) if n_text else []
-        ws = _number_list(float, "w_list", w_text) if w_text else []
+        n_text, w_text = setting(args.n, "n_list"), setting(args.w, "w_list")
+        for name, flag, text in (("n_list", "--n", n_text), ("w_list", "--w", w_text)):
+            if text is None:
+                raise ParameterError(f"custom mode needs {name} ({flag} or config key {name})")
+        ns = _number_list(int, "n_list", n_text)
+        ws = _number_list(float, "w_list", w_text)
         instances = [(n, w) for n in ns for w in ws]
     else:
         raise ParameterError(f"unknown sweep mode {mode!r}")

@@ -305,18 +305,21 @@ def build_xl(params: ProlateParams, L: int) -> DisplacementSystem:
     )
 
 
+def _gram_residual(params: ProlateParams, L: int) -> np.ndarray:
+    """B - B^2 - X_L^T X_L, the defect of the Loewner domination X_L^T X_L <= B - B^2."""
+    x = build_xl(params, L).x
+    b = build_prolate_matrix(params)
+    return b - b @ b - x.T @ x
+
+
 def gram_defect(params: ProlateParams, L: int) -> float:
     """Frobenius norm of (B - B^2) - X_L^T X_L; decreases to 0 as L grows."""
-    system = build_xl(params, L)
-    b = build_prolate_matrix(params)
-    return float(np.linalg.norm(b - b @ b - system.x.T @ system.x, "fro"))
+    return float(np.linalg.norm(_gram_residual(params, L), "fro"))
 
 
 def loewner_min_eig(params: ProlateParams, L: int) -> float:
     """Smallest eigenvalue of B - B^2 - X_L^T X_L (>= 0 up to roundoff)."""
-    system = build_xl(params, L)
-    b = build_prolate_matrix(params)
-    return float(np.linalg.eigvalsh(b - b @ b - system.x.T @ system.x)[0])
+    return float(np.linalg.eigvalsh(_gram_residual(params, L))[0])
 
 
 @dataclass

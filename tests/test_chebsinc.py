@@ -200,21 +200,51 @@ class TestLowRankBlock:
 
     def test_monomial_product_matches_barycentric(self):
         # L1 = 8; L1 = 5, where odd k puts a node exactly on a row; and L1 = 1,
-        # the one-row block whose interpolant is the kernel value itself
+        # the one-row block whose interpolant is the kernel value itself. The
+        # oracle is each column's own interpolant refitted in the monomial basis
         cases = [ProlateParams(256, 1.0 / 32.0), ProlateParams(300, 0.05), ProlateParams(200, 0.2)]
         for p in cases:
             l1 = int(1.0 / (4.0 * p.w))
             ells = np.arange(-l1, 0, dtype=float)
             for k in range(1, 9):
                 rep = lowrank_block_approx(p, k)
-                bary = np.empty((l1, p.n))
+                mono = np.empty((l1, p.n))
                 for n in range(p.n):
                     if l1 == 1:
-                        bary[:, n] = g(p.w, ells - n)
+                        mono[:, n] = g(p.w, ells - n)
                     else:
-                        bary[:, n] = cheb_interpolate(p.w, n, -float(l1), -1.0, k)(ells)
+                        interp = cheb_interpolate(p.w, n, -float(l1), -1.0, k)
+                        coefs = np.polynomial.polynomial.polyfit(interp.nodes, interp.values, k - 1)
+                        mono[:, n] = np.vander(ells, k, increasing=True) @ coefs
                 assert rep.l1 == l1
-                assert np.max(np.abs(rep.matrix - bary)) <= 1e-8
+                assert np.max(np.abs(rep.matrix - mono)) <= 1e-8
+
+    @pytest.mark.parametrize("k", [9, 12])
+    def test_factors_above_eight(self, k):
+        # the barycentric factors exist for every k, not only where a
+        # Vandermonde factor would stay well conditioned
+        p = ProlateParams(512, 1.0 / 64.0)
+        rep = lowrank_block_approx(p, k)
+        l1 = rep.l1
+        assert rep.left_factor.shape == (l1, k)
+        assert rep.right_factor.shape == (k, p.n)
+        assert np.array_equal(rep.left_factor @ rep.right_factor, rep.matrix)
+        ells = np.arange(-l1, 0, dtype=float)
+        block = g(p.w, ells[:, None] - np.arange(p.n, dtype=float)[None, :])
+        assert rep.frobenius_error == np.linalg.norm(block - rep.matrix, "fro")
+        assert np.linalg.matrix_rank(rep.matrix) <= k
+        assert rep.passed
+
+    def test_one_row_block_factors_are_exact(self):
+        # L1 = 1: the unit row times the kernel row padded with zeros is the block
+        p = ProlateParams(200, 0.2)
+        for k in (1, 3, 12):
+            rep = lowrank_block_approx(p, k)
+            assert np.array_equal(rep.left_factor, np.eye(1, k))
+            assert np.array_equal(rep.right_factor[0], g(p.w, -1.0 - np.arange(p.n)))
+            assert not rep.right_factor[1:].any()
+            assert np.array_equal(rep.matrix, rep.right_factor[:1])
+            assert rep.frobenius_error == 0.0
 
     def test_entry_cap_raises_before_allocating(self):
         # L1 = 2.5e8 rows at W = 1e-9: the L1 x N block would take gigabytes

@@ -667,6 +667,55 @@ def test_sweep_without_an_eps_list_takes_the_default(capsys):
     assert [line.split(",")[2] for line in out.splitlines()[1:]] == ["0.001", "1e-08", "1e-13"]
 
 
+CUSTOM = ["--mode", "custom", "--n", "64", "--w", "0.1"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (CUSTOM + ["--eps-list", ""], None, "eps has an empty entry"),
+        (CUSTOM + ["--eps-list", ""], "eps = 1e-2\n", "eps has an empty entry"),
+        (["--mode", "figure1", "--n", "", "--w", "0.2"], None, "n must be an integer"),
+        (["--mode", "figure1", "--n", "", "--w", "0.2"], "n = 64\n", "n must be an integer"),
+        (["--mode", "figure3", "--w-min", ""], "w_min = 0.01\n", "w_min must be a number"),
+        (["--mode", "custom", "--n", "", "--w", "0.1"], "n_list = 64\n", "n_list has an empty"),
+        (["--mode", "figure2", "--n-max", "16"], "eps =\n", "eps has an empty entry"),
+    ],
+)
+def test_sweep_empty_setting_exits_two(capsys, tmp_path, argv, config, message):
+    # an option or config value given as the empty string is parsed, and
+    # refused, like any other value: it neither takes the default nor yields
+    # to the config value
+    if config is not None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config, missing",
+    [
+        (["--mode", "custom", "--w", "0.1"], None, "n_list"),
+        (["--mode", "custom", "--n", "64"], None, "w_list"),
+        (["--mode", "custom"], None, "n_list"),
+        ([], "mode = custom\nw_list = 0.1\n", "n_list"),
+        ([], "mode = custom\nn_list = 64\n", "w_list"),
+        (["--n", "64"], "mode = custom\neps = 1e-2\n", "w_list"),
+    ],
+)
+def test_custom_sweep_without_a_list_exits_two(capsys, tmp_path, argv, config, missing):
+    if config is not None:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run(capsys, "sweep", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: custom mode needs {missing} ") and err.count("\n") == 1
+
+
 def test_eigensolver_failure_exit_four(capsys, monkeypatch):
     # a nonzero info from LAPACK stebz bisecting by index surfaces as
     # NumericalError, exit 4; a slice bisects by index (a width probe first
