@@ -77,21 +77,41 @@ crosses it. A width costs about the two orders that prove each end (4 at
 N = 2**16, eps = 1e-13). Neither the line nor the mirror decides a count;
 they only choose which order to compute next.
 
+From N = ``_CONCURRENT_N`` (2**13) on, and with at least two CPUs in the
+process's affinity mask, a threshold's two searches go in rounds: each
+round takes the next order of both, and the bisection and ``stein`` of one
+run on a single worker thread while the other's run on the calling thread
+(LAPACK releases the GIL, see below). Mirroring, Rayleigh quotients and the
+record of the probes follow on the calling thread, first end first, so the
+probes do not depend on thread timing. At N = 2**16 a width at one eps
+takes 4 probes in 2 rounds. Below the gate the searches run one after the
+other, one order at a time, and no thread is started.
+
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
 ``bounds.proxy_delta`` of them, so :func:`pswf_proxy` and
 :func:`proxy_width_interval` are spectrum computations on that instance.
 
-The module imports no scipy. Its names ``dstebz``, ``dstein`` and
-``eigh_tridiagonal`` are forwarders that import the scipy routine on the
-first call and pass every argument through, so the first solve loads
-``scipy.linalg`` and commands that solve nothing start without it.
+The module imports no scipy, so commands that solve nothing start without
+it; the first solve loads ``scipy.linalg``. ``eigh_tridiagonal`` is a
+forwarder that imports scipy's routine on the first call and passes every
+argument through. ``dstebz`` and ``dstein`` take the arguments and give the
+results of scipy's f2py wrappers ``scipy.linalg.lapack.dstebz`` and
+``dstein``, bit for bit, but call LAPACK by ``ctypes`` through the function
+pointers of ``scipy.linalg.cython_lapack``, which releases the GIL for the
+call: the f2py wrappers hold it, so two threads bisecting through them take
+as long as one after the other. Each thread reuses its own argument objects
+and, on blocks below half the concurrency gate, its workspaces, so a call on
+a 3 x 3 block costs about 2.5 us against f2py's 1 us.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,17 +148,126 @@ ADVISORY_EPS = 1e-12
 #: once (4 MiB of doubles), so the workspace does not grow with the slice
 _CHUNK_ENTRIES = 2**19
 
+#: least N at which a width count solves the two ends of a run concurrently
+#: (see :func:`transition_widths`). On a 2-vCPU VM the rounds won at every N
+#: measured, by a geometric mean over 8 W of 11-24% at N = 4096, 26-38% at
+#: 8192 and 31-46% at 16384 (one eps and three); N <= 4096, the desk-scale
+#: figures, keeps its one-order-at-a-time schedule, so the gate is 2**13
+_CONCURRENT_N = 2**13
+
 
 # LAPACK forwarders: importing scipy.linalg is about half of the CLI's
 # start-up, so it waits for the first call (see the module docstring)
-def dstebz(*args, **kwargs):
-    from scipy.linalg.lapack import dstebz
-    return dstebz(*args, **kwargs)
+@functools.cache
+def _lapack(name: str):
+    """LAPACK routine ``name`` of scipy.linalg.cython_lapack as a ctypes
+    function of pointers, which releases the GIL while it runs (scipy's f2py
+    wrappers hold it)."""
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule, api = __pyx_capi__[name], ctypes.pythonapi
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    c_type = signature(capsule)  # b"void (char *, char *, int *, ...)"
+    function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (c_type.count(b",") + 1))
+    return function(address(capsule, c_type))
 
 
-def dstein(*args, **kwargs):
-    from scipy.linalg.lapack import dstein
-    return dstein(*args, **kwargs)
+class _Scratch(threading.local):
+    """One thread's LAPACK call arguments, reused from call to call: ctypes
+    scalars, workspaces grown to the largest call so far, and the last bands
+    passed with their addresses (held, so an address stays valid). Blocks from
+    half the concurrency gate on keep no workspace or bands between calls:
+    a call there takes milliseconds against microseconds to allocate, and the
+    two threads of a width count holding theirs between rounds added about
+    2 MiB (3%) to the peak memory of widths at N = 2**16."""
+
+    def __init__(self):
+        self.ints, self.reals = (ctypes.c_int * 6)(), (ctypes.c_double * 3)()
+        self.int_at = [ctypes.addressof(self.ints) + 4 * i for i in range(6)]
+        self.real_at = [ctypes.addressof(self.reals) + 8 * i for i in range(3)]
+        self.held, self.held_at = [None] * 4, [0] * 4
+        self.grow(0, 0)
+
+    def grow(self, n: int, m: int) -> None:
+        # stebz needs 4n doubles and 3n ints, stein 5n doubles, n + m ints and m shifts
+        self.work, self.iwork, self.shifts = np.empty(5 * n), np.empty(3 * n + m, np.int32), np.empty(m)
+        self.work_at, self.iwork_at, self.shifts_at = (
+            a.ctypes.data for a in (self.work, self.iwork, self.shifts)
+        )
+
+    def bands(self, *arrays) -> tuple[int, list[int]]:
+        """n and the addresses of d (n doubles), e (n - 1 doubles) and any
+        further arrays (n ints each), converted as f2py converts them; an
+        array passed again keeps its address."""
+        held, held_at = self.held, self.held_at
+        for i, a in enumerate(arrays):
+            if a is not held[i]:
+                a = held[i] = np.ascontiguousarray(a, dtype=np.float64 if i < 2 else np.int32)
+                held_at[i] = _address(a) if a.flags.writeable else a.ctypes.data
+        n = held[0].size
+        if held[1].size != max(n - 1, 0) or len(arrays) > 2 and not held[2].size == held[3].size == n:
+            sizes = [a.size for a in held[: len(arrays)]]
+            raise ValueError(f"LAPACK band arguments of sizes {sizes} for n = {n}")
+        if self.work.size < 5 * n:
+            self.grow(n, self.shifts.size)
+        return n, self.held_at
+
+    def done(self, n: int) -> None:
+        """End a call on a block of n (see the class docstring)."""
+        if 2 * n >= _CONCURRENT_N:
+            self.held, self.held_at = [None] * 4, [0] * 4
+            self.grow(0, 0)
+
+
+_scratch = _Scratch()
+
+
+def _address(out: np.ndarray) -> int:
+    """Address of a writable contiguous array, quicker than ``out.ctypes.data``
+    (0 for an empty one, which LAPACK does not read)."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(out)) if out.size else 0
+
+
+def dstebz(d, e, select, vl, vu, il, iu, tol, order):
+    """LAPACK ``stebz`` with the arguments and results of scipy's
+    ``scipy.linalg.lapack.dstebz``: ``m, w, iblock, isplit, info``."""
+    s = _scratch
+    n, (d_at, e_at, *_) = s.bands(d, e)
+    ints, reals, i_at, r_at = s.ints, s.reals, s.int_at, s.real_at
+    ints[0], ints[1], ints[2] = n, il, iu
+    reals[0], reals[1], reals[2] = vl, vu, tol
+    w, iblock, isplit = np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32)
+    _lapack("dstebz")(
+        b"A" if select <= 0 else b"V" if select == 1 else b"I",
+        order.encode() if isinstance(order, str) else order,
+        i_at[0], r_at[0], r_at[1], i_at[1], i_at[2], r_at[2], d_at, e_at, i_at[3], i_at[4],
+        _address(w), _address(iblock), _address(isplit), s.work_at, s.iwork_at, i_at[5],
+    )  # fmt: skip
+    s.done(n)
+    return ints[3], w, iblock, isplit, ints[5]
+
+
+def dstein(d, e, w, iblock, isplit):
+    """LAPACK ``stein`` with the arguments and results of scipy's
+    ``scipy.linalg.lapack.dstein``: ``z, info``."""
+    s = _scratch
+    n, (d_at, e_at, iblock_at, isplit_at) = s.bands(d, e, iblock, isplit)
+    m = len(w)
+    if s.shifts.size < m:
+        s.grow(n, m)
+    s.shifts[:m] = w
+    ints, i_at = s.ints, s.int_at
+    ints[0], ints[1], ints[2] = n, m, max(n, 1)
+    z = np.zeros((m, n))  # returned transposed: f2py's Fortran-ordered n x m
+    _lapack("dstein")(
+        i_at[0], d_at, e_at, i_at[1], s.shifts_at, iblock_at, isplit_at, _address(z), i_at[2],
+        s.work_at, s.iwork_at, s.iwork_at + 4 * n, i_at[5],
+    )  # fmt: skip
+    s.done(n)
+    return z.T, ints[5]
 
 
 # the whole-block solve of _block_eigenvectors; bench/tracing.py wraps this name
@@ -303,12 +432,6 @@ def _concentration_eigenvectors(
     the order's (see :func:`_block_eigenvectors`).
     """
     n = params.n
-    # coarse shifts: a block's eigenvalues are those of orders k and k + 2, whose
-    # gaps are smallest near order 2NW, where they are at least 0.23 * n *
-    # sin(2 pi W) up to n = 2**16 (twice the gap between adjacent orders), so
-    # each shift misses its eigenvalue by under 1e-4 of the gap to the
-    # nearest other eigenvalue of its block
-    tol = n * math.sin(2.0 * math.pi * params.w) / 2.0**16
     chis, vecs = np.empty(khi - klo + 1), np.empty((n, khi - klo + 1))
     for parity, block in enumerate(_parity_blocks(params)):
         first = klo + (klo + parity) % 2  # first order >= klo of this parity
@@ -316,10 +439,64 @@ def _concentration_eigenvectors(
             continue
         out = vecs[:, first - klo :: 2]
         chis[first - klo :: 2] = _block_eigenvectors(
-            *block, first // 2, (khi - parity) // 2, tol, window if klo == khi else None, out
-        )
+            *block, first // 2, (khi - parity) // 2, _shift_tol(params),
+            window if klo == khi else None, out,
+        )  # fmt: skip
         _mirror(n, parity, out)
     return chis, vecs
+
+
+def _shift_tol(params: ProlateParams) -> float:
+    """Bisection tolerance of the coarse shifts. A block's eigenvalues are those
+    of orders k and k + 2, whose gaps are smallest near order 2NW, where they
+    are at least 0.23 * n * sin(2 pi W) up to n = 2**16 (twice the gap between
+    adjacent orders), so each shift misses its eigenvalue by under 1e-4 of the
+    gap to the nearest other eigenvalue of its block."""
+    return params.n * math.sin(2.0 * math.pi * params.w) / 2.0**16
+
+
+def _concurrent(n: int) -> bool:
+    """Whether a width count at size n solves two orders at a time: from
+    ``_CONCURRENT_N`` on, with at least two CPUs to run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return n >= _CONCURRENT_N and (cpus or 1) >= 2
+
+
+@functools.cache
+def _worker():
+    """The one worker thread of the concurrent probes, made on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(1, thread_name_prefix="prolate-probe")
+
+
+def _solve_pair(
+    params: ProlateParams, probes: list[tuple[int, tuple[float, float] | None]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """T-eigenvalue and unit eigenvector, as :func:`_concentration_eigenvectors`
+    gives them, of two one-order probes (order, window): the second's block
+    solve runs on the worker thread while the first's runs on this one, both
+    into vectors allocated here, and the mirroring follows here."""
+    n = params.n
+    _check_entries(n, 1)  # each probe's, as _solve_slice checks it
+    # the Rayleigh quotients' symbol, made first so that its transforms do not
+    # add to the memory that the two solves hold
+    _prolate_symbol(params)
+    blocks, tol = _parity_blocks(params), _shift_tol(params)
+    outs = [np.empty((n, 1)) for _ in probes]
+
+    def solve(k: int, window, out: np.ndarray) -> np.ndarray:
+        return _block_eigenvectors(*blocks[k % 2], k // 2, k // 2, tol, window, out)
+
+    future = _worker().submit(solve, *probes[1], outs[1])
+    try:
+        chis = [solve(*probes[0], outs[0])]
+    finally:
+        future.exception()  # waits for the worker, whatever this thread's solve did
+    chis.append(future.result())
+    for (k, _), out in zip(probes, outs):
+        _mirror(n, k % 2, out)
+    return list(zip(chis, outs))
 
 
 def _stebz(diag: np.ndarray, off: np.ndarray, select: int, lo, hi, tol: float) -> np.ndarray:
@@ -564,13 +741,18 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
 
 
 def _solve_slice(
-    params: ProlateParams, kmin: int, kmax: int, window: tuple[float, float] | None = None
+    params: ProlateParams,
+    kmin: int,
+    kmax: int,
+    window: tuple[float, float] | None = None,
+    vectors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SpectrumSlice, np.ndarray]:
     """:func:`tridiagonal_spectrum` of an index range already checked, with
     the orders' T-eigenvalues chi_k; a one-order call may name a ``window``
-    predicted to hold chi_k (see :func:`_concentration_eigenvectors`)."""
+    predicted to hold chi_k (see :func:`_concentration_eigenvectors`), or
+    pass ``vectors``, the chi_k and unit vectors already solved for."""
     count = _check_entries(params.n, kmax - kmin + 1)
-    chis, vecs = _concentration_eigenvectors(params, kmin, kmax, window)
+    chis, vecs = vectors or _concentration_eigenvectors(params, kmin, kmax, window)
     head = min(max(params.tbp_floor - kmin, 0), count)  # orders below floor(2NW)
     lam = np.empty(count)
     comp = np.empty(count)
@@ -624,7 +806,10 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     k = 0 or n - 1 the mirror is wrong, which costs probes but changes no
     count: every count rests on probes on both sides of each end, or on the
     sentinels -1 (outside) and n (inside) that start each bracket. Probes
-    are shared by all searches and thresholds, largest eps first.
+    are shared by all searches and thresholds, largest eps first. From N =
+    ``_CONCURRENT_N`` on, a threshold's two searches probe in rounds, two
+    orders at a time (see the module docstring); the probes and the counts
+    do not depend on how the threads run.
 
     Parameters
     ----------
@@ -668,59 +853,101 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
         k2, x2 = next(((k, x) for k, x in points if abs(k - k1) >= 1.0), (k1, x1))
         return k1, x1, (k2 - k1) / (x2 - x1) if x2 != x1 else -scale
 
-    def probe(k: int, level: float) -> None:
-        """Record (lambda_k, 1 - lambda_k) of an order not yet probed, one order
-        per call. chi_k is sought first in a window 0.9 of an order's spacing
-        (chi_per_logit / |dk|) to each side of its prediction: the model's
-        logit at k, mapped to chi through the anchor nearest k."""
-        window = None
+    def window(k: int, level: float) -> tuple[float, float] | None:
+        """Where chi_k is sought first: 0.9 of an order's spacing
+        (chi_per_logit / |dk|) to each side of its prediction, the model's
+        logit at k mapped to chi through the anchor nearest k."""
         k1, x1, dk = model(level)
-        if dk:
-            x, chi = anchors[min(anchors, key=lambda a: abs(a - k))]
-            centre = chi + chi_per_logit * (x1 + (k - k1) / dk - x)
-            # at most N sin(2 pi W), about 4 of the smallest gaps between a
-            # block's eigenvalues (see _concentration_eigenvectors): where dk
-            # is near 0 a window then holds at most 9 of them, not the block
-            half = chi_per_logit * min(0.9 / abs(dk), 2.0 * math.pi)
-            window = (centre - half, centre + half)
-        slc, chis = _solve_slice(params, k, k, window)
-        lam, comp = probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
-        if min(lam, comp) > RESOLUTION_FLOOR:
-            logits[k] = math.log(lam) - math.log(comp)
-            anchors[k] = (logits[k], float(chis[0]))
+        if not dk:
+            return None
+        x, chi = anchors[min(anchors, key=lambda a: abs(a - k))]
+        centre = chi + chi_per_logit * (x1 + (k - k1) / dk - x)
+        # at most N sin(2 pi W), about 4 of the smallest gaps between a
+        # block's eigenvalues (see _shift_tol): where dk is near 0 a window
+        # then holds at most 9 of them, not the block
+        half = chi_per_logit * min(0.9 / abs(dk), 2.0 * math.pi)
+        return centre - half, centre + half
 
-    def next_order(lo: int, hi: int, level: float) -> int:
+    def probe(picks: dict[int, float]) -> None:
+        """Record (lambda_k, 1 - lambda_k) of one or two orders not yet probed
+        (order -> level of its search), in their order; two are solved at once
+        (see :func:`_solve_pair`), each in its window as the model stood
+        before either."""
+        windows = [(k, window(k, level)) for k, level in picks.items()]
+        solved = _solve_pair(params, windows) if len(windows) == 2 else [None]
+        for (k, win), vectors in zip(windows, solved):
+            slc, chis = _solve_slice(params, k, k, win, vectors)
+            lam, comp = probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
+            if min(lam, comp) > RESOLUTION_FLOOR:
+                logits[k] = math.log(lam) - math.log(comp)
+                anchors[k] = (logits[k], float(chis[0]))
+
+    def next_order(lo: int, hi: int, level: float, last: int | None) -> int:
         """The order strictly inside (lo, hi) nearest where the model's line
-        crosses ``level``. When the last probe is saturated and ends the
-        bracket, its value says nothing and a prediction would stall beside
-        it: the midpoint between it and its mirror image instead, clipped
-        into the bracket, as the run lies between them."""
-        last = next(reversed(probes), None)
+        crosses ``level``. When the search's last probe is saturated and ends
+        the bracket, its value says nothing and a prediction would stall
+        beside it: the midpoint between it and its mirror image instead,
+        clipped into the bracket, as the run lies between them."""
         if last in (lo, hi) and last not in logits:
             other = min(max(round(2.0 * mid - last), lo), hi)
             return min(max((last + other) // 2, lo + 1), hi - 1)
         k1, x1, dk = model(level)
         return round(min(max(k1 + (level - x1) * dk, lo + 1), hi - 1))
 
-    def first_inside(inside, level: float) -> int:
+    def search(inside, level: float):
         """First order k with ``inside(k)``, for a predicate of the probed orders
         that turns True as logit(lambda_k) falls through ``level``; orders -1
-        and n count as False and True."""
+        and n count as False and True. A generator: it yields each order it
+        needs probed, with its level, and returns the first order."""
+        last = next(reversed(probes), None)  # the last probe before the search's own
         while True:
             # the bracket that the probes prove
             hi = min((k for k in probes if inside(k)), default=n)
             lo = max((k for k in probes if k < hi and not inside(k)), default=-1)
             if hi - lo <= 1:
                 return hi
-            probe(next_order(lo, hi, level), level)
+            last = next_order(lo, hi, level, last)
+            yield last, level
+
+    def ends(searches: list, wait: bool = False) -> list[int]:
+        """What ``searches`` return, run in rounds: each round probes the next
+        order of every unfinished search at once. With ``wait`` the second
+        joins only once a probe has resolved or the first has ended."""
+        found: list[int | None] = [None] * len(searches)
+        while True:
+            picks: dict[int, float] = {}  # order -> level, in search order
+            for i, steps in enumerate(searches):
+                if found[i] is not None or (i and wait and not logits and found[0] is None):
+                    continue
+                try:
+                    k, level = next(steps)
+                except StopIteration as end:
+                    found[i] = end.value
+                else:
+                    picks.setdefault(k, level)
+            if not picks:
+                return found
+            probe(picks)
 
     # run [first, stop - 1]: first is the first order with 1 - lambda > eps,
-    # stop the first with lambda <= eps
+    # stop the first with lambda <= eps. From _CONCURRENT_N on, a threshold's
+    # two searches run in rounds, two orders at a time; with several
+    # thresholds the first one's second end waits for a mirror point, which
+    # places it better than the line does (13 probes, not 14, for the three
+    # default eps at (2^16, 1/4))
+    concurrent = _concurrent(n)
+    thresholds = sorted(set(eps_list), reverse=True)
     runs: dict[float, tuple[int, int]] = {}
-    for eps in sorted(set(eps_list), reverse=True):
+    for i, eps in enumerate(thresholds):
         level = math.log1p(-eps) - math.log(eps)  # logit(1 - eps)
-        first = first_inside(lambda k: probes[k][1] > eps, level)
-        stop = first_inside(lambda k: probes[k][0] <= eps, -level)
+        searches = [
+            search(lambda k: probes[k][1] > eps, level),
+            search(lambda k: probes[k][0] <= eps, -level),
+        ]
+        if concurrent:
+            first, stop = ends(searches, wait=i == 0 and len(thresholds) > 1)
+        else:
+            (first,), (stop,) = ends(searches[:1]), ends(searches[1:])
         runs[eps] = (first, stop - 1)
     reports, probed = [], tuple(probes)
     for eps in eps_list:

@@ -84,31 +84,35 @@ def test_demo_imports_resolve(demo):
 # the package's start-up imports no scipy module: numpy does the transforms
 # and builds the dense matrix, and spectrum's LAPACK forwarders import
 # scipy.linalg on the first solve, so commands that solve nothing skip the
-# half of the start-up that importing it costs
+# half of the start-up that importing it costs. Nor does it start a thread or
+# load the thread pool's module: only a width count from
+# spectrum._CONCURRENT_N on does, for its worker thread. (concurrent.futures
+# itself comes with scipy.linalg on numpy 2, through numpy.testing.)
 _START_UP = """
-import contextlib, io, sys
+import contextlib, io, sys, threading
 code = 0
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     import prolate
     if sys.argv[1:]:
         from prolate.cli import main
         code = main(sys.argv[1:])
-print(code, 'scipy' in {m.split('.')[0] for m in sys.modules}, 'scipy.linalg' in sys.modules)
+print(code, 'scipy' in {m.split('.')[0] for m in sys.modules}, 'scipy.linalg' in sys.modules,
+      threading.active_count(), 'concurrent.futures.thread' in sys.modules)
 """
 
 
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        ([], "0 False False"),
-        (["--help"], "0 False False"),
-        (["width", "--n", "-3", "--w", "0.2"], "2 False False"),
+        ([], "0 False False 1 False"),
+        (["--help"], "0 False False 1 False"),
+        (["width", "--n", "-3", "--w", "0.2"], "2 False False 1 False"),
         (["bounds", "--n", "1000", "--w", "0.125", "--eps", "1e-3", "--k", "250", "--K", "250"],
-         "0 False False"),
+         "0 False False 1 False"),
         (["eigs", "--n", "256", "--w", "0.2", "--method", "dense", "--krange", "40:60"],
-         "0 False False"),
+         "0 False False 1 False"),
         # the first solve loads scipy.linalg through the forwarders
-        (["width", "--n", "64", "--w", "0.2", "--eps", "1e-3"], "0 True True"),
+        (["width", "--n", "64", "--w", "0.2", "--eps", "1e-3"], "0 True True 1 False"),
     ],
     ids=["import", "help", "usage-error", "bounds", "dense-eigs", "width"],
 )

@@ -103,9 +103,9 @@ def test_secant_search_matches_bisection(n, w, eps_list):
     calls = []
     compute = spectrum._solve_slice  # each probe's solve
 
-    def counting(params, kmin, kmax, window=None):
+    def counting(params, kmin, kmax, window=None, vectors=None):
         calls.append(kmin)
-        return compute(params, kmin, kmax, window)
+        return compute(params, kmin, kmax, window, vectors)
 
     with mock.patch.object(spectrum, "_solve_slice", counting):
         reports = transition_widths(p, eps_list)

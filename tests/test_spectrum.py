@@ -512,6 +512,90 @@ def test_stebz_matches_scipys_bisection_bit_for_bit(n, w, parity):
         assert got.size == iu - il + 1 and np.array_equal(got, ref), (vl, vu)
 
 
+def _lapack_calls():
+    """(d, e, stebz arguments) on 2 x 2 and 3 x 3 blocks and on parity blocks
+    of (1000, 0.2) and (2^16, 0.15): the top four eigenvalues by index, and
+    windows by value that hold none, one and all four of them, to a coarse
+    tolerance and, but in the largest block, to full accuracy in block order."""
+    import prolate.spectrum as spectrum
+    from scipy.linalg.lapack import dstebz
+
+    blocks = [
+        (np.array([1.0, 3.0]), np.array([0.5])),
+        (np.array([2.0, -1.0, 0.5]), np.array([1.0, 0.25])),
+        spectrum._parity_blocks(ProlateParams(1000, 0.2))[0][:2],
+        spectrum._parity_blocks(ProlateParams(65536, 0.15))[1][:2],
+    ]
+    calls = []
+    for d, e in blocks:
+        top = (max(d.size - 3, 1), d.size)
+        tol = 1e-3 * float(np.max(np.abs(d)))
+        m, w, *_ = dstebz(d, e, 2, 0.0, 1.0, *top, 0.0, "E")
+        v = w[:m]
+        g = float(np.min(np.diff(v))) / 2.0
+        calls.append((d, e, 2, 0.0, 1.0, *top, tol, "E"))
+        for lo, hi in [(v[-1] + g, v[-1] + 2 * g), (v[-1] - g, v[-1] + g), (v[0] - g, v[-1] + g)]:
+            calls.append((d, e, 1, lo, hi, 0, 0, tol, "E"))
+            if d.size < 2**10:
+                calls.append((d, e, 1, lo, hi, 0, 0, 0.0, "B"))
+    return calls
+
+
+def _lapack_results(stebz, stein, calls):
+    """m, w[:m] and info of each stebz call, with stein's vectors and info at
+    the eigenvalues found (one shift per call, as the module makes them)."""
+    out = []
+    for d, e, *args in calls:
+        m, w, _, _, info = stebz(d, e, *args)
+        iblock, isplit = np.ones(d.size, dtype=np.int32), np.full(d.size, d.size, dtype=np.int32)
+        vectors = [stein(d, e, w[j : j + 1], iblock, isplit) for j in range(m)]
+        out.append((m, w[:m], info, vectors))
+    return out
+
+
+def test_lapack_forwarders_match_scipys_f2py_wrappers_bit_for_bit():
+    # spectrum's dstebz and dstein call LAPACK through scipy.linalg.cython_lapack
+    # by ctypes, which releases the GIL; they return what scipy.linalg.lapack's
+    # wrappers return, to the bit, also when two threads call them at once
+    from concurrent.futures import ThreadPoolExecutor
+
+    import prolate.spectrum as spectrum
+    from scipy.linalg import lapack
+
+    calls = _lapack_calls()
+    ref = _lapack_results(lapack.dstebz, lapack.dstein, calls)
+    assert [r[0] for r in ref[-4:]] == [4, 0, 1, 4]  # the 2^16 block's calls
+    with ThreadPoolExecutor(2) as pool:
+        runs = [_lapack_results(spectrum.dstebz, spectrum.dstein, calls)]
+        runs += pool.map(
+            _lapack_results, *zip(*[(spectrum.dstebz, spectrum.dstein, calls)] * 2), timeout=60
+        )
+    for got in runs:
+        for (m, w, info, vectors), (m_ref, w_ref, info_ref, vectors_ref) in zip(got, ref):
+            assert (m, info) == (m_ref, info_ref) and np.array_equal(w, w_ref)
+            for (z, z_info), (z_ref, z_info_ref) in zip(vectors, vectors_ref):
+                assert z_info == z_info_ref == 0
+                assert z.shape == z_ref.shape and np.array_equal(z, z_ref)
+
+
+def test_lapack_forwarders_refuse_bands_of_the_wrong_size():
+    # LAPACK would read past the end of a short band: the forwarders check the
+    # sizes on every call, also of arrays held from the call before, so an
+    # off-diagonal or an iblock from another block raises instead
+    import prolate.spectrum as spectrum
+
+    d5, e5, d8, e8 = np.arange(5.0), np.ones(4), np.arange(8.0), np.ones(7)
+    iblock, isplit = np.ones(5, dtype=np.int32), np.full(5, 5, dtype=np.int32)
+    assert spectrum.dstein(d5, e5, [1.0], iblock, isplit)[1] == 0
+    assert spectrum.dstebz(d8, e8, 1, 0.0, 1.0, 0, 0, 0.1, "E")[4] == 0
+    for args in [(d8, e8, [1.0], iblock, isplit), (d5, e8, [1.0], iblock, isplit)]:
+        with pytest.raises(ValueError, match="band arguments of sizes"):
+            spectrum.dstein(*args)
+    with pytest.raises(ValueError, match="band arguments of sizes"):
+        spectrum.dstebz(d8, e5, 1, 0.0, 1.0, 0, 0, 0.1, "E")
+    assert spectrum.dstein(d5, e5, [1.0], iblock, isplit)[1] == 0
+
+
 @pytest.mark.parametrize(
     "n, w",
     [
@@ -648,9 +732,9 @@ def test_transition_width_probe_budget(monkeypatch):
     calls = []
     compute = spectrum._solve_slice  # each probe's solve
 
-    def counting(params, kmin, kmax, window=None):
+    def counting(params, kmin, kmax, window=None, vectors=None):
         calls.append((kmin, kmax))
-        return compute(params, kmin, kmax, window)
+        return compute(params, kmin, kmax, window, vectors)
 
     monkeypatch.setattr(spectrum, "_solve_slice", counting)
     p = ProlateParams(65536, 0.25)
@@ -680,6 +764,102 @@ def test_width_probes_at_two_pow_16_never_bisect_by_index(monkeypatch):
         report = transition_width(ProlateParams(65536, float(w)), 1e-13)
         assert 62 <= report.width <= 68 and len(report.probes) <= 4, (w, report)
     assert 2 not in ranges  # LAPACK's RANGE 2: bisection by index
+
+
+class _InlineWorker:
+    """Stands in for the worker thread: runs each job at once, on the caller's."""
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _probed(monkeypatch, p, eps_list):
+    """Reports of one width count, (k, lambda_k, 1 - lambda_k) of each probe in
+    the order recorded, and the number of pairs solved at once."""
+    import prolate.spectrum as spectrum
+
+    seen, pairs = [], []
+    solve, pair = spectrum._solve_slice, spectrum._solve_pair
+
+    def recording(params, kmin, kmax, window=None, vectors=None):
+        slc, chis = solve(params, kmin, kmax, window, vectors)
+        seen.append((kmin, float(slc.lam[0]), float(slc.comp[0])))
+        return slc, chis
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_solve_slice", recording)
+        patch.setattr(spectrum, "_solve_pair", lambda *args: pairs.append(1) or pair(*args))
+        reports = transition_widths(p, eps_list)
+    return reports, seen, len(pairs)
+
+
+@pytest.mark.parametrize(
+    "n, w, eps_list",
+    [(2**14, w, eps_list) for w in (0.03, 0.2, 0.41) for eps_list in ([1e-13], [1e-3, 1e-8, 1e-13])]
+    + [(2**16, 0.1, [1e-13]), (2**16, 0.3, [1e-13]), (2**16, 0.3, [1e-3, 1e-8, 1e-13])],
+    ids=lambda arg: f"{len(arg)}-eps" if isinstance(arg, list) else str(arg),
+)
+def test_concurrent_rounds_count_as_the_serial_search(monkeypatch, n, w, eps_list):
+    # from the gate on, each threshold's two searches go in rounds that solve
+    # two orders at once, one on the worker thread: the runs are those of the
+    # one-order-at-a-time search, each probe is bit for bit what it is with
+    # the worker's job run inline, and the probes repeat from run to run
+    import prolate.spectrum as spectrum
+
+    if not spectrum._concurrent(n):
+        pytest.skip("fewer than two CPUs: width counts stay serial")
+    p = ProlateParams(n, w)
+    runs = [_probed(monkeypatch, p, eps_list) for _ in range(3)]
+    reports, seen, pairs = runs[0]
+    assert pairs > 0
+    for again in runs[1:]:
+        assert again[0][0].probes == reports[0].probes and again[1] == seen
+    monkeypatch.setattr(spectrum, "_worker", _InlineWorker)
+    assert _probed(monkeypatch, p, eps_list)[1] == seen
+    monkeypatch.setattr(spectrum, "_CONCURRENT_N", n + 1)
+    serial, _, serial_pairs = _probed(monkeypatch, p, eps_list)
+    assert serial_pairs == 0
+    assert [(r.width, r.k_first, r.k_last) for r in reports] == [
+        (r.width, r.k_first, r.k_last) for r in serial
+    ]
+
+
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "calling-thread"])
+def test_failed_stein_in_a_concurrent_round_exits_four(monkeypatch, capsys, on_worker):
+    # a stein failure in either of a round's two solves is one error line and
+    # exit 4, and the worker thread serves the next width count
+    import threading
+
+    import prolate.spectrum as spectrum
+    from prolate.cli import main
+
+    argv = ["width", "--n", "16384", "--w", "0.2", "--eps", "1e-13"]
+    if not spectrum._concurrent(16384):
+        pytest.skip("fewer than two CPUs: width counts stay serial")
+    caller, stein = threading.get_ident(), spectrum.dstein
+
+    def failing(d, e, w, iblock, isplit):
+        if (threading.get_ident() != caller) == on_worker:
+            return np.zeros((d.size, len(w)), order="F"), 1
+        return stein(d, e, w, iblock, isplit)
+
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(spectrum, "dstein", failing)
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: LAPACK stein did not converge") and err.count("\n") == 1
+    monkeypatch.setattr(spectrum, "dstein", stein)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_width_probe_windows_hold_a_few_eigenvalues_at_most(monkeypatch):
