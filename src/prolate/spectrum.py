@@ -77,15 +77,15 @@ crosses it. A width costs about the two orders that prove each end (4 at
 N = 2**16, eps = 1e-13). Neither the line nor the mirror decides a count;
 they only choose which order to compute next.
 
-From N = ``_CONCURRENT_N`` (2**13) on, and with at least two CPUs in the
-process's affinity mask, a threshold's two searches go in rounds: each
-round takes the next order of both, and the bisection and ``stein`` of one
-run on a single worker thread while the other's run on the calling thread
-(LAPACK releases the GIL, see below). Mirroring, Rayleigh quotients and the
-record of the probes follow on the calling thread, first end first, so the
-probes do not depend on thread timing. At N = 2**16 a width at one eps
-takes 4 probes in 2 rounds. Below the gate the searches run one after the
-other, one order at a time, and no thread is started.
+A threshold's two searches go in rounds, each of which takes the next order
+of both: 4 probes in 2 rounds for a width at N = 2**16 and one eps. From
+N = ``_CONCURRENT_N`` (2**13) on, with at least two CPUs in the process's
+affinity mask, the bisection and ``stein`` of a round's second order run on
+a single worker thread while the first's run on the calling thread (LAPACK
+releases the GIL, see below); otherwise they follow the first's, and no
+thread is started. Mirroring, Rayleigh quotients and the record of the
+probes follow on the calling thread, first end first, so the probes are the
+same on any number of CPUs, whatever the thread timing.
 
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
@@ -148,11 +148,12 @@ ADVISORY_EPS = 1e-12
 #: once (4 MiB of doubles), so the workspace does not grow with the slice
 _CHUNK_ENTRIES = 2**19
 
-#: least N at which a width count solves the two ends of a run concurrently
-#: (see :func:`transition_widths`). On a 2-vCPU VM the rounds won at every N
-#: measured, by a geometric mean over 8 W of 11-24% at N = 4096, 26-38% at
-#: 8192 and 31-46% at 16384 (one eps and three); N <= 4096, the desk-scale
-#: figures, keeps its one-order-at-a-time schedule, so the gate is 2**13
+#: least N at which a round of a width count solves its second order on the
+#: worker thread, beside the first (see :func:`transition_widths`). On a
+#: 2-vCPU VM the worker won at every N measured, by a geometric mean over 8 W
+#: of 11-24% at N = 4096, 26-38% at 8192 and 31-46% at 16384 (one eps and
+#: three); the gate is 2**13 so that N <= 4096, the desk-scale figures,
+#: solve every order on the calling thread and start no thread
 _CONCURRENT_N = 2**13
 
 
@@ -418,7 +419,7 @@ def _parity_blocks(params: ProlateParams) -> tuple[tuple[np.ndarray, np.ndarray,
 
 
 def _concentration_eigenvectors(
-    params: ProlateParams, klo: int, khi: int, window: tuple[float, float] | None = None
+    params: ProlateParams, klo: int, khi: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """T-eigenvalues and T-eigenvectors for concentration orders klo..khi, in
     k order (the vectors as columns).
@@ -426,10 +427,7 @@ def _concentration_eigenvectors(
     Order k has parity (-1)**k and belongs to the (k // 2)-th largest
     eigenvalue of the parity block k % 2, so each order is bisected for and
     solved in a tridiagonal of about n/2, or, where the slice holds the whole
-    block, solved with all of that block's orders in one call. A one-order
-    call may name a ``window`` predicted to hold that T-eigenvalue: it is
-    bisected for there first, and taken only where Sturm counts prove it is
-    the order's (see :func:`_block_eigenvectors`).
+    block, solved with all of that block's orders in one call.
     """
     n = params.n
     chis, vecs = np.empty(khi - klo + 1), np.empty((n, khi - klo + 1))
@@ -439,9 +437,8 @@ def _concentration_eigenvectors(
             continue
         out = vecs[:, first - klo :: 2]
         chis[first - klo :: 2] = _block_eigenvectors(
-            *block, first // 2, (khi - parity) // 2, _shift_tol(params),
-            window if klo == khi else None, out,
-        )  # fmt: skip
+            *block, first // 2, (khi - parity) // 2, _shift_tol(params), None, out
+        )
         _mirror(n, parity, out)
     return chis, vecs
 
@@ -456,47 +453,51 @@ def _shift_tol(params: ProlateParams) -> float:
 
 
 def _concurrent(n: int) -> bool:
-    """Whether a width count at size n solves two orders at a time: from
-    ``_CONCURRENT_N`` on, with at least two CPUs to run on."""
+    """Whether a round of a width count at size n solves its second order on
+    the worker thread: from ``_CONCURRENT_N`` on, with two CPUs to run on."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return n >= _CONCURRENT_N and (cpus or 1) >= 2
 
 
 @functools.cache
 def _worker():
-    """The one worker thread of the concurrent probes, made on first use."""
+    """The one worker thread of the rounds' second probes, made on first use."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(1, thread_name_prefix="prolate-probe")
 
 
-def _solve_pair(
+def _solve_probes(
     params: ProlateParams, probes: list[tuple[int, tuple[float, float] | None]]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """T-eigenvalue and unit eigenvector, as :func:`_concentration_eigenvectors`
-    gives them, of two one-order probes (order, window): the second's block
-    solve runs on the worker thread while the first's runs on this one, both
-    into vectors allocated here, and the mirroring follows here."""
+    gives them, of one or two one-order probes (order, window): the second's
+    block solve runs on the worker thread while the first's runs on this one
+    where :func:`_concurrent` allows, else after it here, both into vectors
+    allocated here, and the mirroring follows here."""
     n = params.n
     _check_entries(n, 1)  # each probe's, as _solve_slice checks it
     # the Rayleigh quotients' symbol, made first so that its transforms do not
     # add to the memory that the two solves hold
     _prolate_symbol(params)
     blocks, tol = _parity_blocks(params), _shift_tol(params)
-    outs = [np.empty((n, 1)) for _ in probes]
+    jobs = [(k, window, np.empty((n, 1))) for k, window in probes]
 
     def solve(k: int, window, out: np.ndarray) -> np.ndarray:
         return _block_eigenvectors(*blocks[k % 2], k // 2, k // 2, tol, window, out)
 
-    future = _worker().submit(solve, *probes[1], outs[1])
-    try:
-        chis = [solve(*probes[0], outs[0])]
-    finally:
-        future.exception()  # waits for the worker, whatever this thread's solve did
-    chis.append(future.result())
-    for (k, _), out in zip(probes, outs):
+    if len(jobs) == 2 and _concurrent(n):
+        later = _worker().submit(solve, *jobs[1])
+        try:
+            first = solve(*jobs[0])
+        finally:
+            later.exception()  # waits for the worker, whatever this thread's solve did
+        chis = [first, later.result()]
+    else:
+        chis = [solve(*job) for job in jobs]
+    for k, _, out in jobs:
         _mirror(n, k % 2, out)
-    return list(zip(chis, outs))
+    return [(chi, out) for chi, (_, _, out) in zip(chis, jobs)]
 
 
 def _stebz(diag: np.ndarray, off: np.ndarray, select: int, lo, hi, tol: float) -> np.ndarray:
@@ -744,15 +745,13 @@ def _solve_slice(
     params: ProlateParams,
     kmin: int,
     kmax: int,
-    window: tuple[float, float] | None = None,
     vectors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SpectrumSlice, np.ndarray]:
     """:func:`tridiagonal_spectrum` of an index range already checked, with
-    the orders' T-eigenvalues chi_k; a one-order call may name a ``window``
-    predicted to hold chi_k (see :func:`_concentration_eigenvectors`), or
-    pass ``vectors``, the chi_k and unit vectors already solved for."""
+    the orders' T-eigenvalues chi_k; ``vectors``, where given, are the chi_k
+    and unit vectors already solved for (see :func:`_solve_probes`)."""
     count = _check_entries(params.n, kmax - kmin + 1)
-    chis, vecs = vectors or _concentration_eigenvectors(params, kmin, kmax, window)
+    chis, vecs = vectors or _concentration_eigenvectors(params, kmin, kmax)
     head = min(max(params.tbp_floor - kmin, 0), count)  # orders below floor(2NW)
     lam = np.empty(count)
     comp = np.empty(count)
@@ -806,10 +805,10 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     k = 0 or n - 1 the mirror is wrong, which costs probes but changes no
     count: every count rests on probes on both sides of each end, or on the
     sentinels -1 (outside) and n (inside) that start each bracket. Probes
-    are shared by all searches and thresholds, largest eps first. From N =
-    ``_CONCURRENT_N`` on, a threshold's two searches probe in rounds, two
-    orders at a time (see the module docstring); the probes and the counts
-    do not depend on how the threads run.
+    are shared by all searches and thresholds, largest eps first, and a
+    threshold's two searches probe in rounds, two orders at a time (see the
+    module docstring): the probes and the counts follow from the input
+    alone, not from the CPUs or the threads.
 
     Parameters
     ----------
@@ -870,13 +869,11 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
 
     def probe(picks: dict[int, float]) -> None:
         """Record (lambda_k, 1 - lambda_k) of one or two orders not yet probed
-        (order -> level of its search), in their order; two are solved at once
-        (see :func:`_solve_pair`), each in its window as the model stood
-        before either."""
+        (order -> level of its search), in their order, each solved in its
+        window as the model stood before either (see :func:`_solve_probes`)."""
         windows = [(k, window(k, level)) for k, level in picks.items()]
-        solved = _solve_pair(params, windows) if len(windows) == 2 else [None]
-        for (k, win), vectors in zip(windows, solved):
-            slc, chis = _solve_slice(params, k, k, win, vectors)
+        for (k, _), vectors in zip(windows, _solve_probes(params, windows)):
+            slc, chis = _solve_slice(params, k, k, vectors)
             lam, comp = probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
             if min(lam, comp) > RESOLUTION_FLOOR:
                 logits[k] = math.log(lam) - math.log(comp)
@@ -909,15 +906,17 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
             last = next_order(lo, hi, level, last)
             yield last, level
 
-    def ends(searches: list, wait: bool = False) -> list[int]:
-        """What ``searches`` return, run in rounds: each round probes the next
-        order of every unfinished search at once. With ``wait`` the second
-        joins only once a probe has resolved or the first has ended."""
-        found: list[int | None] = [None] * len(searches)
+    def ends(searches: list, wait: bool) -> list[int]:
+        """What the two ``searches`` return, run in rounds: each round probes
+        the next order of each unfinished one. With ``wait`` the second joins
+        only once a probe of these rounds has resolved or the first has ended."""
+        found: list[int | None] = [None, None]
+        # logits only grow: a probe of these rounds resolved once it outgrows this
+        known = len(logits) if wait else -1  # -1: the second never waits
         while True:
             picks: dict[int, float] = {}  # order -> level, in search order
             for i, steps in enumerate(searches):
-                if found[i] is not None or (i and wait and not logits and found[0] is None):
+                if found[i] is not None or (i and len(logits) == known and found[0] is None):
                     continue
                 try:
                     k, level = next(steps)
@@ -930,12 +929,12 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
             probe(picks)
 
     # run [first, stop - 1]: first is the first order with 1 - lambda > eps,
-    # stop the first with lambda <= eps. From _CONCURRENT_N on, a threshold's
-    # two searches run in rounds, two orders at a time; with several
-    # thresholds the first one's second end waits for a mirror point, which
-    # places it better than the line does (13 probes, not 14, for the three
-    # default eps at (2^16, 1/4))
-    concurrent = _concurrent(n)
+    # stop the first with lambda <= eps. The second end of each threshold but
+    # the last waits for a resolved probe of its own threshold, whose mirror
+    # point places it better than a line through the larger eps's points (for
+    # the three default eps, 13 probes at (2^16, 1/4) and 1298 over desk
+    # figure 3, against 14 and 1366 with no wait). At the last, waiting saved
+    # no probe over desk figure 3 (1303) and cost a round a width at 2^16
     thresholds = sorted(set(eps_list), reverse=True)
     runs: dict[float, tuple[int, int]] = {}
     for i, eps in enumerate(thresholds):
@@ -944,10 +943,7 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
             search(lambda k: probes[k][1] > eps, level),
             search(lambda k: probes[k][0] <= eps, -level),
         ]
-        if concurrent:
-            first, stop = ends(searches, wait=i == 0 and len(thresholds) > 1)
-        else:
-            (first,), (stop,) = ends(searches[:1]), ends(searches[1:])
+        first, stop = ends(searches, wait=i < len(thresholds) - 1)
         runs[eps] = (first, stop - 1)
     reports, probed = [], tuple(probes)
     for eps in eps_list:

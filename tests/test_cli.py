@@ -355,7 +355,7 @@ def test_numerical_error_exit_four(capsys, monkeypatch):
     import prolate.spectrum as spectrum
     from prolate import NumericalError
 
-    def fail(params, kmin, kmax, window=None, vectors=None):
+    def fail(params, kmin, kmax, vectors=None):
         raise NumericalError("probe did not converge")
 
     monkeypatch.setattr(spectrum, "_solve_slice", fail)  # each width probe's solve

@@ -85,9 +85,11 @@ def test_demo_imports_resolve(demo):
 # and builds the dense matrix, and spectrum's LAPACK forwarders import
 # scipy.linalg on the first solve, so commands that solve nothing skip the
 # half of the start-up that importing it costs. Nor does it start a thread or
-# load the thread pool's module: only a width count from
-# spectrum._CONCURRENT_N on does, for its worker thread. (concurrent.futures
-# itself comes with scipy.linalg on numpy 2, through numpy.testing.)
+# load the thread pool's module: a width count goes in rounds at every N, but
+# only from spectrum._CONCURRENT_N on, with two CPUs, does a round solve its
+# second order on the worker thread; below it, as for the width command here,
+# both run on the calling thread. (concurrent.futures itself comes with
+# scipy.linalg on numpy 2, through numpy.testing.)
 _START_UP = """
 import contextlib, io, sys, threading
 code = 0

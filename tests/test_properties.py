@@ -103,9 +103,9 @@ def test_secant_search_matches_bisection(n, w, eps_list):
     calls = []
     compute = spectrum._solve_slice  # each probe's solve
 
-    def counting(params, kmin, kmax, window=None, vectors=None):
+    def counting(params, kmin, kmax, vectors=None):
         calls.append(kmin)
-        return compute(params, kmin, kmax, window, vectors)
+        return compute(params, kmin, kmax, vectors)
 
     with mock.patch.object(spectrum, "_solve_slice", counting):
         reports = transition_widths(p, eps_list)
@@ -142,7 +142,8 @@ def test_mispredicted_windows_fall_back_to_the_same_order(n, w, k, off, half):
     ranges = []
     bisect = spectrum._stebz
     with mock.patch.object(spectrum, "_stebz", lambda *a: ranges.append(a[2]) or bisect(*a)):
-        got, got_chi = spectrum._solve_slice(p, k, k, (vl, vu))
+        (vectors,) = spectrum._solve_probes(p, [(k, (vl, vu))])
+    got, got_chi = spectrum._solve_slice(p, k, k, vectors)
     if clear and (n + 1 - k % 2) // 2 > 1:  # a block of one takes no bisection
         # LAPACK's RANGE 2: bisection by index
         assert ranges.count(2) == (held != {k}), (held, ranges)

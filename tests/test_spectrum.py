@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -732,9 +733,9 @@ def test_transition_width_probe_budget(monkeypatch):
     calls = []
     compute = spectrum._solve_slice  # each probe's solve
 
-    def counting(params, kmin, kmax, window=None, vectors=None):
+    def counting(params, kmin, kmax, vectors=None):
         calls.append((kmin, kmax))
-        return compute(params, kmin, kmax, window, vectors)
+        return compute(params, kmin, kmax, vectors)
 
     monkeypatch.setattr(spectrum, "_solve_slice", counting)
     p = ProlateParams(65536, 0.25)
@@ -782,67 +783,99 @@ class _InlineWorker:
 
 def _probed(monkeypatch, p, eps_list):
     """Reports of one width count, (k, lambda_k, 1 - lambda_k) of each probe in
-    the order recorded, and the number of pairs solved at once."""
+    the order recorded, and whether any block solve ran off the calling thread."""
+    import threading
+
     import prolate.spectrum as spectrum
 
-    seen, pairs = [], []
-    solve, pair = spectrum._solve_slice, spectrum._solve_pair
+    seen, threads = [], set()
+    solve, block = spectrum._solve_slice, spectrum._block_eigenvectors
 
-    def recording(params, kmin, kmax, window=None, vectors=None):
-        slc, chis = solve(params, kmin, kmax, window, vectors)
+    def recording(params, kmin, kmax, vectors=None):
+        slc, chis = solve(params, kmin, kmax, vectors)
         seen.append((kmin, float(slc.lam[0]), float(slc.comp[0])))
         return slc, chis
 
+    def solving(*args):
+        threads.add(threading.get_ident())
+        return block(*args)
+
     with monkeypatch.context() as patch:
         patch.setattr(spectrum, "_solve_slice", recording)
-        patch.setattr(spectrum, "_solve_pair", lambda *args: pairs.append(1) or pair(*args))
+        patch.setattr(spectrum, "_block_eigenvectors", solving)
         reports = transition_widths(p, eps_list)
-    return reports, seen, len(pairs)
+    return reports, seen, threads != {threading.get_ident()}
+
+
+# (width, k_first, k_last) of each eps, one eps or three, as the search found
+# them when it probed one order at a time
+_SEARCH_RUNS = {
+    (2**12, 0.03, 1): [(41, 225, 265)],
+    (2**12, 0.03, 3): [(12, 240, 251), (27, 232, 258), (41, 225, 265)],
+    (2**12, 0.2, 1): [(51, 1613, 1663)],
+    (2**12, 0.2, 3): [(13, 1632, 1644), (33, 1622, 1654), (51, 1613, 1663)],
+    (2**12, 0.41, 1): [(47, 3335, 3381)],
+    (2**12, 0.41, 3): [(13, 3352, 3364), (31, 3343, 3373), (47, 3335, 3381)],
+    (2**14, 0.03, 1): [(50, 958, 1007)],
+    (2**14, 0.03, 3): [(14, 976, 989), (32, 967, 998), (50, 958, 1007)],
+    (2**14, 0.2, 1): [(59, 6524, 6582)],
+    (2**14, 0.2, 3): [(15, 6546, 6560), (39, 6534, 6572), (59, 6524, 6582)],
+    (2**14, 0.41, 1): [(56, 13407, 13462)],
+    (2**14, 0.41, 3): [(15, 13427, 13441), (36, 13417, 13452), (56, 13407, 13462)],
+    (2**16, 0.1, 1): [(65, 13075, 13139)],
+    (2**16, 0.3, 1): [(67, 39288, 39354)],
+    (2**16, 0.3, 3): [(17, 39313, 39329), (43, 39300, 39342), (67, 39288, 39354)],
+}
 
 
 @pytest.mark.parametrize(
-    "n, w, eps_list",
-    [(2**14, w, eps_list) for w in (0.03, 0.2, 0.41) for eps_list in ([1e-13], [1e-3, 1e-8, 1e-13])]
-    + [(2**16, 0.1, [1e-13]), (2**16, 0.3, [1e-13]), (2**16, 0.3, [1e-3, 1e-8, 1e-13])],
-    ids=lambda arg: f"{len(arg)}-eps" if isinstance(arg, list) else str(arg),
+    "n, w, eps_list, runs",
+    [
+        pytest.param(n, w, [1e-3, 1e-8, 1e-13][-count:], runs, id=f"{n}-{w}-{count}-eps")
+        for (n, w, count), runs in _SEARCH_RUNS.items()
+    ],
 )
-def test_concurrent_rounds_count_as_the_serial_search(monkeypatch, n, w, eps_list):
-    # from the gate on, each threshold's two searches go in rounds that solve
-    # two orders at once, one on the worker thread: the runs are those of the
-    # one-order-at-a-time search, each probe is bit for bit what it is with
-    # the worker's job run inline, and the probes repeat from run to run
+def test_concurrent_rounds_count_as_the_serial_search(monkeypatch, n, w, eps_list, runs):
+    # a round's second solve may run on the worker thread, inline after the
+    # first (the worker stood in for), or after it with one CPU in the
+    # affinity mask, where the rounds run serially: the probes and every
+    # probe's lambda and 1 - lambda are the same bit for bit, and so are the
+    # runs, pinned to those of the one-order-at-a-time search
     import prolate.spectrum as spectrum
 
-    if not spectrum._concurrent(n):
-        pytest.skip("fewer than two CPUs: width counts stay serial")
     p = ProlateParams(n, w)
-    runs = [_probed(monkeypatch, p, eps_list) for _ in range(3)]
-    reports, seen, pairs = runs[0]
-    assert pairs > 0
-    for again in runs[1:]:
-        assert again[0][0].probes == reports[0].probes and again[1] == seen
-    monkeypatch.setattr(spectrum, "_worker", _InlineWorker)
-    assert _probed(monkeypatch, p, eps_list)[1] == seen
-    monkeypatch.setattr(spectrum, "_CONCURRENT_N", n + 1)
-    serial, _, serial_pairs = _probed(monkeypatch, p, eps_list)
-    assert serial_pairs == 0
-    assert [(r.width, r.k_first, r.k_last) for r in reports] == [
-        (r.width, r.k_first, r.k_last) for r in serial
-    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "_concurrent", lambda n: True)
+        threaded = _probed(monkeypatch, p, eps_list)
+        patch.setattr(spectrum, "_worker", _InlineWorker)
+        inline = _probed(monkeypatch, p, eps_list)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_cpu = _probed(monkeypatch, p, eps_list)
+    assert [off for _, _, off in (threaded, inline, one_cpu)] == [True, False, False]
+    reports, seen, _ = threaded
+    for other, other_seen, _ in (inline, one_cpu):
+        assert other_seen == seen
+        assert other[0].probes == reports[0].probes == tuple(k for k, _, _ in seen)
+    assert [(r.width, r.k_first, r.k_last) for r in reports] == runs
 
 
-@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "calling-thread"])
-def test_failed_stein_in_a_concurrent_round_exits_four(monkeypatch, capsys, on_worker):
-    # a stein failure in either of a round's two solves is one error line and
-    # exit 4, and the worker thread serves the next width count
+@pytest.mark.parametrize(
+    "n, on_worker", [(16384, True), (16384, False), (4096, False)],
+    ids=["worker", "calling-thread", "inline"],
+)  # fmt: skip
+def test_failed_stein_in_a_concurrent_round_exits_four(monkeypatch, capsys, n, on_worker):
+    # a stein failure in either of a round's two solves, on the worker thread
+    # or on the calling one (where, below the gate, both run), is one error
+    # line and exit 4, and the next width count succeeds
     import threading
 
     import prolate.spectrum as spectrum
     from prolate.cli import main
 
-    argv = ["width", "--n", "16384", "--w", "0.2", "--eps", "1e-13"]
-    if not spectrum._concurrent(16384):
-        pytest.skip("fewer than two CPUs: width counts stay serial")
+    argv = ["width", "--n", str(n), "--w", "0.2", "--eps", "1e-13"]
+    if n >= spectrum._CONCURRENT_N:  # the worker, whatever the CPUs here
+        monkeypatch.setattr(spectrum, "_concurrent", lambda n: True)
     caller, stein = threading.get_ident(), spectrum.dstein
 
     def failing(d, e, w, iblock, isplit):
@@ -931,7 +964,7 @@ def test_saturated_probes_bisect_towards_their_mirror_image():
 
     cases = [(345, 0.05181053651154233, 9.9e-15), (4350, 0.0017565615081560815, 1.83e-15)]
     reports = [transition_width(ProlateParams(n, w), eps) for n, w, eps in cases]
-    assert reports[0].probes == (20, 19, 51, 50)
+    assert reports[0].probes == (20, 51, 19, 50)  # two rounds of both ends
     assert len(reports[1].probes) <= 8, reports[1].probes
     for (n, w, eps), report in zip(cases, reports):
         assert len(set(report.probes)) == len(report.probes)
