@@ -47,8 +47,8 @@ eigenvalue found there is taken only when LAPACK's Sturm counts prove it is
 index k // 2 of its block: exactly one in the window and exactly k // 2
 above it. Otherwise the probe bisects by index as a slice does, so a wrong
 prediction costs time, never a wrong order. At N = 2**16 a probe costs
-about 12 ms (window bisection and Sturm count 5.8, ``stein`` 2.5, Rayleigh
-quotient 1.6, a quarter of the sinc column 0.5).
+about 11 ms on a 2-vCPU Xeon VM (window bisection and Sturm count 5.8,
+``stein`` 2.7, Rayleigh quotient 1.0, a quarter of building B^ 1.2).
 
 Eigenvalues above 1/2 are reflected exactly. With D = diag((-1)**i), the
 instance at bandwidth 1/2 - W has T(1/2 - W) = -D T(W) D and prolate matrix
@@ -65,27 +65,19 @@ computed vectors at N = 20 to 4096, odd and even; above 1e-2, its relative
 error stays below 1e-14 (worst seen 3.8e-15).
 
 A transition width needs only the two ends of the run in (eps, 1 - eps).
-Computed lambda_k is monotone in k, so :func:`transition_widths` searches k
-for each end, one eigenvalue per step, and shares those eigenvalues across
-its thresholds. Through the transition logit(lambda_k) is nearly linear in
-k and odd about 2NW - 1/2 (Slepian, Bell Syst. Tech. J. 57, 1978:
-lambda_k ~ 1/(1 + e^(pi b))). So the first step of a search probes where
-that line crosses the threshold, each computed eigenvalue's mirror image
-about 2NW - 1/2 stands in for one at the other end of the run, and later
-steps probe where the secant through the points nearest the threshold
-crosses it. A width costs about the two orders that prove each end (4 at
-N = 2**16, eps = 1e-13). Neither the line nor the mirror decides a count;
-they only choose which order to compute next.
-
-A threshold's two searches go in rounds, each of which takes the next order
-of both: 4 probes in 2 rounds for a width at N = 2**16 and one eps. From
-N = ``_CONCURRENT_N`` (2**13) on, with at least two CPUs in the process's
-affinity mask, the bisection and ``stein`` of a round's second order run on
-a single worker thread while the first's run on the calling thread (LAPACK
-releases the GIL, see below); otherwise they follow the first's, and no
-thread is started. Mirroring, Rayleigh quotients and the record of the
-probes follow on the calling thread, first end first, so the probes are the
-same on any number of CPUs, whatever the thread timing.
+Computed lambda_k is monotone in k, so :func:`transition_widths` finds each
+end by a search over k, one eigenvalue (a probe) per step, steered by
+Slepian's line (Bell Syst. Tech. J. 57, 1978: lambda_k ~ 1/(1 + e^(pi b)),
+so logit(lambda_k) is nearly linear in k and odd about 2NW - 1/2) and by
+the probes' mirror images: 4 probes in 2 rounds at N = 2**16 and one eps.
+The search, :func:`_search_runs`, names no solver: it calls a probe with one
+or two (order, window) pairs, which returns lambda_k, 1 - lambda_k and chi_k
+of each, and :func:`_solve_probes` is that probe. From N = ``_CONCURRENT_N``
+(2**13) on, with two CPUs in the affinity mask, the bisection and ``stein``
+of a round's second order run on one worker thread beside the first's
+(LAPACK releases the GIL, see below); otherwise after it, and no thread is
+started. The rest follows on the calling thread, so the probes do not
+depend on the CPUs.
 
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
@@ -469,14 +461,13 @@ def _worker():
 
 def _solve_probes(
     params: ProlateParams, probes: list[tuple[int, tuple[float, float] | None]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """T-eigenvalue and unit eigenvector, as :func:`_concentration_eigenvectors`
-    gives them, of one or two one-order probes (order, window): the second's
-    block solve runs on the worker thread while the first's runs on this one
-    where :func:`_concurrent` allows, else after it here, both into vectors
-    allocated here, and the mirroring follows here."""
+) -> list[tuple[float, float, float]]:
+    """(lambda_k, 1 - lambda_k, chi_k) of one or two one-order probes (order,
+    window), the probe of :func:`_search_runs`: the second's block solve runs
+    on the worker thread beside the first's where :func:`_concurrent` allows,
+    else after it; mirroring and Rayleigh quotients follow on this thread."""
     n = params.n
-    _check_entries(n, 1)  # each probe's, as _solve_slice checks it
+    _check_entries(n, 1)
     # the Rayleigh quotients' symbol, made first so that its transforms do not
     # add to the memory that the two solves hold
     _prolate_symbol(params)
@@ -497,7 +488,8 @@ def _solve_probes(
         chis = [solve(*job) for job in jobs]
     for k, _, out in jobs:
         _mirror(n, k % 2, out)
-    return [(chi, out) for chi, (_, _, out) in zip(chis, jobs)]
+    solved = [(_eigenvalues(params, out, k), chi) for chi, (k, _, out) in zip(chis, jobs)]
+    return [(float(lam[0]), float(comp[0]), float(chi[0])) for (lam, comp, _), chi in solved]
 
 
 def _stebz(diag: np.ndarray, off: np.ndarray, select: int, lo, hi, tol: float) -> np.ndarray:
@@ -738,23 +730,19 @@ def tridiagonal_spectrum(params: ProlateParams, kmin: int, kmax: int) -> Spectru
     n = params.n
     if not (0 <= kmin <= kmax <= n - 1):
         raise ParameterError(f"need 0 <= kmin <= kmax <= {n - 1}, got [{kmin}, {kmax}]")
-    return _solve_slice(params, kmin, kmax)[0]
+    _check_entries(n, kmax - kmin + 1)
+    _, vecs = _concentration_eigenvectors(params, kmin, kmax)
+    return SpectrumSlice(params, kmin, kmax, *_eigenvalues(params, vecs, kmin))
 
 
-def _solve_slice(
-    params: ProlateParams,
-    kmin: int,
-    kmax: int,
-    vectors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[SpectrumSlice, np.ndarray]:
-    """:func:`tridiagonal_spectrum` of an index range already checked, with
-    the orders' T-eigenvalues chi_k; ``vectors``, where given, are the chi_k
-    and unit vectors already solved for (see :func:`_solve_probes`)."""
-    count = _check_entries(params.n, kmax - kmin + 1)
-    chis, vecs = vectors or _concentration_eigenvectors(params, kmin, kmax)
+def _eigenvalues(params: ProlateParams, vecs: np.ndarray, kmin: int) -> tuple[np.ndarray, ...]:
+    """lambda_k, 1 - lambda_k and the orders taken via the complement of the
+    unit vectors of orders kmin, kmin + 1, ... (the columns of ``vecs``):
+    each as its Rayleigh quotient, against I - B below floor(2NW), clipped to
+    [0, 1], and the other as 1 minus it."""
+    count = vecs.shape[1]
     head = min(max(params.tbp_floor - kmin, 0), count)  # orders below floor(2NW)
-    lam = np.empty(count)
-    comp = np.empty(count)
+    lam, comp = np.empty(count), np.empty(count)
     for reflected, cols in ((True, slice(0, head)), (False, slice(head, count))):
         if cols.start == cols.stop:
             continue
@@ -762,7 +750,7 @@ def _solve_slice(
         rq = _rayleigh_quotients(params, vecs[:, cols], reflected, kmin + cols.start)
         own[cols] = np.clip(rq, 0.0, 1.0)
         other[cols] = 1.0 - own[cols]
-    return SpectrumSlice(params, kmin, kmax, lam, comp, np.arange(count) < head), chis
+    return lam, comp, np.arange(count) < head
 
 
 def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | None]:
@@ -779,66 +767,39 @@ def _count_run(slc: SpectrumSlice, eps: float) -> tuple[int, int | None, int | N
     return k_last - k_first + 1, k_first, k_last
 
 
-def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]:
-    """Count indices with eps < lambda_k < 1 - eps, for each eps of ``eps_list``.
+def _search_runs(
+    n: int, mid: float, scale: float, chi_line: tuple[float, float], eps_list, probe
+) -> tuple[dict[float, tuple[int, int]], tuple[int, ...]]:
+    """The runs of :func:`transition_widths` in orders 0..n-1, found from
+    probes alone: ``probe`` takes one or two (order, window) pairs and returns
+    (lambda_k, 1 - lambda_k, chi_k) of each. Returns {eps: (first, last)},
+    last < first where empty, and the probed orders, in the order probed.
 
-    Computed lambda_k is non-increasing and 1 - lambda_k non-decreasing in k
-    where it is resolved, so the run for one eps is [k_first, k_last], where
-    k_first is the first order with 1 - lambda > eps and k_last the last with
-    lambda > eps. Each end is found by one search over k, each step of which
-    computes one eigenvalue (a probe). The search keeps the bracket that the
-    probes prove, last order outside the run and first inside, and a model
-    of logit(lambda_k) only picks which order inside it to probe next:
-    Slepian's line, logit(lambda_k) ~ -pi^2 (k - mid) / log(N sin(2 pi W))
-    with mid = 2NW - 1/2, which is odd about mid. The first probe of a
-    search sits where the line crosses the search's level, logit(1 - eps) or
-    logit(eps). Each resolved probe also gives a mirror point
-    (2 mid - k, -logit(lambda_k)) at the other end of the run, and later
-    probes sit where the secant through the two points (probes or mirror
-    points, at least an order apart) nearest the level crosses it. So the
-    second end usually costs only the two orders that prove it, and a width
-    about four probes. Probes with lambda or 1 - lambda at the resolution
-    floor (saturated) count only by which side they fall on; when the last
-    probe is saturated and ends the bracket, the search bisects between it
-    and its mirror image 2 mid - k, clipped into the bracket, since the
-    nearly symmetric run lies between the two. Where the run is cut off at
-    k = 0 or n - 1 the mirror is wrong, which costs probes but changes no
-    count: every count rests on probes on both sides of each end, or on the
-    sentinels -1 (outside) and n (inside) that start each bracket. Probes
-    are shared by all searches and thresholds, largest eps first, and a
-    threshold's two searches probe in rounds, two orders at a time (see the
-    module docstring): the probes and the counts follow from the input
-    alone, not from the CPUs or the threads.
-
-    Parameters
-    ----------
-    params : ProlateParams
-    eps_list : sequence of float
-        Non-empty; each threshold in (RESOLUTION_FLOOR, 1/2). Reports follow
-        its order. At or below the floor, computed eigenvalues are rounding
-        noise and not monotone in k, so a count there would depend on which
-        orders were probed; such an eps raises ParameterError.
+    Each end is found by one search over k that keeps the bracket the probes
+    prove, last order outside the run and first inside. A model of
+    logit(lambda_k) only picks the next order inside it, and through
+    ``chi_line`` (the slope of chi_k in that logit, and chi_k at logit 0)
+    the window where its chi_k is sought. The first probe sits where
+    Slepian's line, logit(lambda_k) ~ -(k - mid) / scale, crosses the
+    search's level, logit(1 - eps) or logit(eps). Each resolved probe also
+    gives a mirror point (2 mid - k, -logit(lambda_k)) at the other end of
+    the run, and later probes sit where the secant through the two points
+    (probes or mirror points, at least an order apart) nearest the level
+    crosses it, so a width costs about four probes. Probes with lambda or
+    1 - lambda at the resolution floor (saturated) count only by their side;
+    when the last one ends the bracket, the search bisects between it and
+    its mirror image 2 mid - k, clipped into the bracket, as the nearly
+    symmetric run lies between them. Where the run is cut off at k = 0 or
+    n - 1 the mirror is wrong, which costs probes but changes no count: each
+    rests on probes on both sides of each end, or on the sentinels -1
+    (outside) and n (inside). Probes are shared by all thresholds, largest
+    eps first, and a threshold's two searches probe in rounds, two at a time.
     """
-    eps_list = [_check_eps(eps) for eps in eps_list]
-    if not eps_list:
-        raise ParameterError("need at least one eps")
-    if (eps_min := min(eps_list)) <= RESOLUTION_FLOOR:
-        raise ParameterError(
-            f"eps must exceed the resolution floor {RESOLUTION_FLOOR:g}, got {eps_min}"
-        )
-    n = params.n
     probes: dict[int, tuple[float, float]] = {}
     logits: dict[int, float] = {}  # logit(lambda_k) of the probes above the floor
-    # Slepian's line, logit(lambda_k) ~ -(k - mid) / scale; where N sin(2 pi W) < 1
-    # the log would make it rise in k, and scale 0 puts every level at mid instead
-    mid = params.time_bandwidth - 0.5
-    scale = max(math.log(n * math.sin(2.0 * math.pi * params.w)), 0.0) / math.pi**2
-    # through a run the T-eigenvalue chi_k is nearly linear in logit(lambda_k),
-    # with this slope, and (N^2 - 1)/4 cos(2 pi W) at logit 0 (within 0.05 of
-    # an order's spacing where measured, N >= 256 and W >= 1e-3); anchors:
-    # order -> (logit, chi) on that line
-    chi_per_logit = n * math.sin(2.0 * math.pi * params.w) / (2.0 * math.pi)
-    anchors = {mid: (0.0, (n - 1.0) * (n + 1.0) / 4.0 * math.cos(2.0 * math.pi * params.w))}
+    # order -> (logit, chi) on the line of chi_k in logit(lambda_k)
+    chi_per_logit, chi_mid = chi_line
+    anchors = {mid: (0.0, chi_mid)}
 
     def model(level: float) -> tuple[float, float, float]:
         """A point (k1, x1) and the slope dk (orders per unit of logit) of the
@@ -867,17 +828,16 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
         half = chi_per_logit * min(0.9 / abs(dk), 2.0 * math.pi)
         return centre - half, centre + half
 
-    def probe(picks: dict[int, float]) -> None:
+    def record(picks: dict[int, float]) -> None:
         """Record (lambda_k, 1 - lambda_k) of one or two orders not yet probed
-        (order -> level of its search), in their order, each solved in its
-        window as the model stood before either (see :func:`_solve_probes`)."""
+        (order -> level of its search), in their order, each probed in its
+        window as the model stood before either."""
         windows = [(k, window(k, level)) for k, level in picks.items()]
-        for (k, _), vectors in zip(windows, _solve_probes(params, windows)):
-            slc, chis = _solve_slice(params, k, k, vectors)
-            lam, comp = probes[k] = (float(slc.lam[0]), float(slc.comp[0]))
+        for (k, _), (lam, comp, chi) in zip(windows, probe(windows)):
+            probes[k] = (lam, comp)
             if min(lam, comp) > RESOLUTION_FLOOR:
                 logits[k] = math.log(lam) - math.log(comp)
-                anchors[k] = (logits[k], float(chis[0]))
+                anchors[k] = (logits[k], chi)
 
     def next_order(lo: int, hi: int, level: float, last: int | None) -> int:
         """The order strictly inside (lo, hi) nearest where the model's line
@@ -926,7 +886,7 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
                     picks.setdefault(k, level)
             if not picks:
                 return found
-            probe(picks)
+            record(picks)
 
     # run [first, stop - 1]: first is the first order with 1 - lambda > eps,
     # stop the first with lambda <= eps. The second end of each threshold but
@@ -935,7 +895,7 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
     # the three default eps, 13 probes at (2^16, 1/4) and 1298 over desk
     # figure 3, against 14 and 1366 with no wait). At the last, waiting saved
     # no probe over desk figure 3 (1303) and cost a round a width at 2^16
-    thresholds = sorted(set(eps_list), reverse=True)
+    thresholds = sorted(set(eps_list), reverse=True)  # largest first
     runs: dict[float, tuple[int, int]] = {}
     for i, eps in enumerate(thresholds):
         level = math.log1p(-eps) - math.log(eps)  # logit(1 - eps)
@@ -945,14 +905,54 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
         ]
         first, stop = ends(searches, wait=i < len(thresholds) - 1)
         runs[eps] = (first, stop - 1)
-    reports, probed = [], tuple(probes)
+    return runs, tuple(probes)
+
+
+def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]:
+    """Count indices with eps < lambda_k < 1 - eps, for each eps of ``eps_list``.
+
+    Computed lambda_k is non-increasing and 1 - lambda_k non-decreasing in k
+    where it is resolved, so the run for one eps is [k_first, k_last], where
+    k_first is the first order with 1 - lambda > eps and k_last the last with
+    lambda > eps. The width search, :func:`_search_runs`, finds both ends
+    from a few computed eigenvalues (probes), which it reaches only through
+    :func:`_solve_probes`; this function checks the input, sets the lines
+    that steer the search and builds the reports.
+
+    Parameters
+    ----------
+    params : ProlateParams
+    eps_list : sequence of float
+        Non-empty; each threshold in (RESOLUTION_FLOOR, 1/2). Reports follow
+        its order. At or below the floor, computed eigenvalues are rounding
+        noise and not monotone in k, so a count there would depend on which
+        orders were probed; such an eps raises ParameterError.
+    """
+    eps_list = [_check_eps(eps) for eps in eps_list]
+    if not eps_list:
+        raise ParameterError("need at least one eps")
+    if (eps_min := min(eps_list)) <= RESOLUTION_FLOOR:
+        raise ParameterError(
+            f"eps must exceed the resolution floor {RESOLUTION_FLOOR:g}, got {eps_min}"
+        )
+    n, two_pi_w = params.n, 2.0 * math.pi * params.w
+    # Slepian's line, logit(lambda_k) ~ -(k - mid) / scale; where N sin(2 pi W) < 1
+    # the log would make it rise in k, and scale 0 puts every level at mid instead
+    mid = params.time_bandwidth - 0.5
+    scale = max(math.log(n * math.sin(two_pi_w)), 0.0) / math.pi**2
+    # through a run the T-eigenvalue chi_k is nearly linear in logit(lambda_k),
+    # with slope N sin(2 pi W)/(2 pi) and (N^2 - 1)/4 cos(2 pi W) at logit 0
+    # (within 0.05 of an order's spacing where measured, N >= 256, W >= 1e-3)
+    chi_mid = (n - 1.0) * (n + 1.0) / 4.0 * math.cos(two_pi_w)
+    chi_line = (n * math.sin(two_pi_w) / (2.0 * math.pi), chi_mid)
+    probe = functools.partial(_solve_probes, params)
+    runs, probed = _search_runs(n, mid, scale, chi_line, eps_list, probe)
+    reports = []
     for eps in eps_list:
-        k_first, k_last = runs[eps]
-        width = max(k_last - k_first + 1, 0)
-        if not width:
-            k_first = k_last = None
-        advisory = eps <= ADVISORY_EPS
-        reports.append(TransitionReport(params, eps, width, k_first, k_last, advisory, probed))
+        first, last = runs[eps]
+        width = max(last - first + 1, 0)
+        ends = (first, last) if width else (None, None)
+        reports.append(TransitionReport(params, eps, width, *ends, eps <= ADVISORY_EPS, probed))
     return reports
 
 

@@ -355,10 +355,10 @@ def test_numerical_error_exit_four(capsys, monkeypatch):
     import prolate.spectrum as spectrum
     from prolate import NumericalError
 
-    def fail(params, kmin, kmax, vectors=None):
+    def fail(params, probes):
         raise NumericalError("probe did not converge")
 
-    monkeypatch.setattr(spectrum, "_solve_slice", fail)  # each width probe's solve
+    monkeypatch.setattr(spectrum, "_solve_probes", fail)  # the width search's probe
     code, out, err = run(capsys, "width", "--n", "64", "--w", "0.1", "--eps", "1e-2")
     assert code == 4
     assert out == ""

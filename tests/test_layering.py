@@ -124,3 +124,20 @@ def test_start_up_leaves_out_scipy(argv, expected):
         [sys.executable, "-c", _START_UP, *argv], env=env, capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")
+
+
+def test_width_search_reaches_the_spectrum_only_through_its_probe():
+    # the width search is a function of its probe: it names no LAPACK call,
+    # solver, thread helper or numpy, so it runs against a fake probe as it
+    # does against the eigensolves
+    tree = _tree(PACKAGE / "spectrum.py")
+    (search,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_search_runs"
+    ]  # fmt: skip
+    named = {node.id for node in ast.walk(search) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(search) if isinstance(node, ast.Attribute)}
+    forbidden = {"dstebz", "dstein", "_stebz", "_block_eigenvectors", "_solve_probes"}
+    forbidden |= {"_worker", "_concurrent", "np"}
+    assert not named & forbidden, named & forbidden
+    assert "probe" in {arg.arg for arg in search.args.args}

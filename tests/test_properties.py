@@ -10,6 +10,7 @@ from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -101,13 +102,13 @@ def test_secant_search_matches_bisection(n, w, eps_list):
     p = ProlateParams(n, w)
     runs, bisected = _bisection_runs(p, eps_list)
     calls = []
-    compute = spectrum._solve_slice  # each probe's solve
+    compute = spectrum._solve_probes  # the width search's probe
 
-    def counting(params, kmin, kmax, vectors=None):
-        calls.append(kmin)
-        return compute(params, kmin, kmax, vectors)
+    def counting(params, probes):
+        calls.extend(k for k, _ in probes)
+        return compute(params, probes)
 
-    with mock.patch.object(spectrum, "_solve_slice", counting):
+    with mock.patch.object(spectrum, "_solve_probes", counting):
         reports = transition_widths(p, eps_list)
     for report in reports:
         assert (report.width, report.k_first, report.k_last) == runs[report.eps], report
@@ -138,18 +139,17 @@ def test_mispredicted_windows_fall_back_to_the_same_order(n, w, k, off, half):
     held = {j for j in range(k % 2, n, 2) if vl < chi[j] <= vu}
     clear = np.min(np.abs(chi[k % 2 :: 2, None] - [vl, vu])) > 1e-9 * np.max(np.abs(chi))
 
-    ref, ref_chi = spectrum._solve_slice(p, k, k)
+    ref, ref_chi = tridiagonal_spectrum(p, k, k), spectrum._concentration_eigenvectors(p, k, k)[0]
     ranges = []
     bisect = spectrum._stebz
     with mock.patch.object(spectrum, "_stebz", lambda *a: ranges.append(a[2]) or bisect(*a)):
-        (vectors,) = spectrum._solve_probes(p, [(k, (vl, vu))])
-    got, got_chi = spectrum._solve_slice(p, k, k, vectors)
+        ((lam, comp, chi),) = spectrum._solve_probes(p, [(k, (vl, vu))])
     if clear and (n + 1 - k % 2) // 2 > 1:  # a block of one takes no bisection
         # LAPACK's RANGE 2: bisection by index
         assert ranges.count(2) == (held != {k}), (held, ranges)
-    assert abs(got_chi[0] - ref_chi[0]) <= n * math.sin(2.0 * math.pi * w) / 2.0**16
-    assert abs(got.lam[0] - ref.lam[0]) <= 4 * np.finfo(float).eps, (got.lam, ref.lam)
-    assert abs(got.comp[0] - ref.comp[0]) <= 4 * np.finfo(float).eps, (got.comp, ref.comp)
+    assert abs(chi - ref_chi[0]) <= n * math.sin(2.0 * math.pi * w) / 2.0**16
+    assert abs(lam - ref.lam[0]) <= 4 * np.finfo(float).eps, (lam, ref.lam)
+    assert abs(comp - ref.comp[0]) <= 4 * np.finfo(float).eps, (comp, ref.comp)
 
 
 @budget(25)
@@ -228,6 +228,61 @@ def test_transition_widths_match_full_spectrum_count_at_the_edges(p, eps_list):
     for report in reports:
         run = (report.width, report.k_first, report.k_last)
         assert run == _count_run(full, report.eps), (report, run)
+
+
+@st.composite
+def _synthetic_spectra(draw, sizes):
+    """(lam, comp, mid, scale) for the width search with no solver behind it:
+    a logistic run about a centre that may lie past either end (cut off at
+    k = 0 or n - 1), with noise in the logit, sorted so that it is monotone,
+    and each value at or below the resolution floor replaced by noise under
+    it (saturated). The search's own line may miss the centre and the slope."""
+    n = draw(sizes)
+    centre = draw(
+        st.one_of(st.floats(-0.5, n - 0.5), st.floats(-30.0, 0.0), st.floats(n - 1.0, n + 30.0))
+    )
+    slope = draw(_log_uniform(0.05, 10.0))  # orders per unit of logit
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 0.3, 3.0])) * rng.uniform(-1.0, 1.0, n)
+    # clipped where either value is far under the floor anyway, so exp is finite
+    logit = np.clip(np.sort(-(np.arange(n) - centre) / slope + noise)[::-1], -60.0, 60.0)
+    lam, comp = 1.0 / (1.0 + np.exp(-logit)), 1.0 / (1.0 + np.exp(logit))
+    for values in (lam, comp):
+        saturated = values <= RESOLUTION_FLOOR
+        values[saturated] = RESOLUTION_FLOOR * rng.uniform(0.0, 1.0, int(saturated.sum()))
+    mid = centre + draw(st.sampled_from([0.0, 0.5, -3.0, 12.0]))
+    scale = slope * draw(st.sampled_from([1.0, 0.5, 2.0, 0.0]))
+    return lam, comp, mid, scale
+
+
+@pytest.mark.parametrize(
+    "sizes", [st.integers(1, 3000), st.sampled_from([1, 2])], ids=["n-to-3000", "n-1-or-2"]
+)
+@budget(200)
+@given(data=st.data())
+def test_width_search_counts_a_synthetic_spectrum(sizes, data):
+    # the search against a probe of a given sequence, monotone wherever it
+    # is above the floor: its runs are the direct count's, and it probes each
+    # order in [0, n) at most once, one or two orders a call
+    lam, comp, mid, scale = data.draw(_synthetic_spectra(sizes))
+    eps_list = data.draw(edge_thresholds)
+    n, seen = lam.size, []
+
+    def probe(pairs):
+        orders = [k for k, _ in pairs]
+        assert len(set(orders)) == len(orders) in (1, 2), orders
+        assert all(0 <= k < n and k not in seen for k in orders), (orders, seen)
+        seen.extend(orders)
+        return [(float(lam[k]), float(comp[k]), float(k)) for k in orders]
+
+    runs, probed = spectrum._search_runs(n, mid, scale, (1.0, 0.0), eps_list, probe)
+    assert probed == tuple(seen)
+    for eps in eps_list:
+        inside = np.flatnonzero((lam > eps) & (comp > eps))
+        first, last = runs[eps]
+        assert max(last - first + 1, 0) == inside.size, (eps, runs[eps], inside)
+        if inside.size:
+            assert (first, last) == (inside[0], inside[-1]), (eps, runs[eps])
 
 
 @budget(200)

@@ -731,18 +731,18 @@ def test_transition_width_probe_budget(monkeypatch):
     import prolate.spectrum as spectrum
 
     calls = []
-    compute = spectrum._solve_slice  # each probe's solve
+    compute = spectrum._solve_probes  # the width search's probe
 
-    def counting(params, kmin, kmax, vectors=None):
-        calls.append((kmin, kmax))
-        return compute(params, kmin, kmax, vectors)
+    def counting(params, probes):
+        calls.append([k for k, _ in probes])
+        return compute(params, probes)
 
-    monkeypatch.setattr(spectrum, "_solve_slice", counting)
+    monkeypatch.setattr(spectrum, "_solve_probes", counting)
     p = ProlateParams(65536, 0.25)
     report = transition_width(p, 1e-13)
     assert report.width == 68
-    assert report.probes == tuple(kmin for kmin, _ in calls)
-    assert all(kmin == kmax for kmin, kmax in calls), calls
+    assert report.probes == tuple(k for orders in calls for k in orders)
+    assert all(len(orders) in (1, 2) for orders in calls), calls
     assert len(report.probes) <= 4, report.probes
 
     reports = transition_widths(p, [1e-3, 1e-8, 1e-13])
@@ -789,19 +789,19 @@ def _probed(monkeypatch, p, eps_list):
     import prolate.spectrum as spectrum
 
     seen, threads = [], set()
-    solve, block = spectrum._solve_slice, spectrum._block_eigenvectors
+    solve, block = spectrum._solve_probes, spectrum._block_eigenvectors
 
-    def recording(params, kmin, kmax, vectors=None):
-        slc, chis = solve(params, kmin, kmax, vectors)
-        seen.append((kmin, float(slc.lam[0]), float(slc.comp[0])))
-        return slc, chis
+    def recording(params, probes):
+        solved = solve(params, probes)
+        seen.extend((k, lam, comp) for (k, _), (lam, comp, _) in zip(probes, solved))
+        return solved
 
     def solving(*args):
         threads.add(threading.get_ident())
         return block(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_solve_slice", recording)
+        patch.setattr(spectrum, "_solve_probes", recording)
         patch.setattr(spectrum, "_block_eigenvectors", solving)
         reports = transition_widths(p, eps_list)
     return reports, seen, threads != {threading.get_ident()}
