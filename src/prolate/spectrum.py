@@ -72,12 +72,11 @@ so logit(lambda_k) is nearly linear in k and odd about 2NW - 1/2) and by
 the probes' mirror images: 4 probes in 2 rounds at N = 2**16 and one eps.
 The search, :func:`_search_runs`, names no solver: it calls a probe with one
 or two (order, window) pairs, which returns lambda_k, 1 - lambda_k and chi_k
-of each, and :func:`_solve_probes` is that probe. From N = ``_CONCURRENT_N``
-(2**13) on, with two CPUs in the affinity mask, the bisection and ``stein``
-of a round's second order run on one worker thread beside the first's
-(LAPACK releases the GIL, see below); otherwise after it, and no thread is
-started. The rest follows on the calling thread, so the probes do not
-depend on the CPUs.
+of each, and :func:`_solve_probes` is that probe. At every N, with two CPUs
+in the affinity mask, the bisection and ``stein`` of a round's second order
+run on one worker thread beside the first's (LAPACK releases the GIL, see
+below); with one, after it, and no thread is started. The rest follows on
+the calling thread, so the probes do not depend on the CPUs.
 
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
@@ -92,9 +91,10 @@ results of scipy's f2py wrappers ``scipy.linalg.lapack.dstebz`` and
 ``dstein``, bit for bit, but call LAPACK by ``ctypes`` through the function
 pointers of ``scipy.linalg.cython_lapack``, which releases the GIL for the
 call: the f2py wrappers hold it, so two threads bisecting through them take
-as long as one after the other. Each thread reuses its own argument objects
-and, on blocks below half the concurrency gate, its workspaces, so a call on
-a 3 x 3 block costs about 2.5 us against f2py's 1 us.
+as long as one after the other. Each call allocates its own arguments,
+outputs and workspaces and keeps none of them, so on a 3 x 3 block a call
+costs about 12 us against f2py's 2 us for ``stebz`` and 1 us for ``stein``
+(2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ import ctypes
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,14 +139,6 @@ ADVISORY_EPS = 1e-12
 #: once (4 MiB of doubles), so the workspace does not grow with the slice
 _CHUNK_ENTRIES = 2**19
 
-#: least N at which a round of a width count solves its second order on the
-#: worker thread, beside the first (see :func:`transition_widths`). On a
-#: 2-vCPU VM the worker won at every N measured, by a geometric mean over 8 W
-#: of 11-24% at N = 4096, 26-38% at 8192 and 31-46% at 16384 (one eps and
-#: three); the gate is 2**13 so that N <= 4096, the desk-scale figures,
-#: solve every order on the calling thread and start no thread
-_CONCURRENT_N = 2**13
-
 
 # LAPACK forwarders: importing scipy.linalg is about half of the CLI's
 # start-up, so it waits for the first call (see the module docstring)
@@ -168,99 +159,54 @@ def _lapack(name: str):
     return function(address(capsule, c_type))
 
 
-class _Scratch(threading.local):
-    """One thread's LAPACK call arguments, reused from call to call: ctypes
-    scalars, workspaces grown to the largest call so far, and the last bands
-    passed with their addresses (held, so an address stays valid). Blocks from
-    half the concurrency gate on keep no workspace or bands between calls:
-    a call there takes milliseconds against microseconds to allocate, and the
-    two threads of a width count holding theirs between rounds added about
-    2 MiB (3%) to the peak memory of widths at N = 2**16."""
-
-    def __init__(self):
-        self.ints, self.reals = (ctypes.c_int * 6)(), (ctypes.c_double * 3)()
-        self.int_at = [ctypes.addressof(self.ints) + 4 * i for i in range(6)]
-        self.real_at = [ctypes.addressof(self.reals) + 8 * i for i in range(3)]
-        self.held, self.held_at = [None] * 4, [0] * 4
-        self.grow(0, 0)
-
-    def grow(self, n: int, m: int) -> None:
-        # stebz needs 4n doubles and 3n ints, stein 5n doubles, n + m ints and m shifts
-        self.work, self.iwork, self.shifts = np.empty(5 * n), np.empty(3 * n + m, np.int32), np.empty(m)
-        self.work_at, self.iwork_at, self.shifts_at = (
-            a.ctypes.data for a in (self.work, self.iwork, self.shifts)
-        )
-
-    def bands(self, *arrays) -> tuple[int, list[int]]:
-        """n and the addresses of d (n doubles), e (n - 1 doubles) and any
-        further arrays (n ints each), converted as f2py converts them; an
-        array passed again keeps its address."""
-        held, held_at = self.held, self.held_at
-        for i, a in enumerate(arrays):
-            if a is not held[i]:
-                a = held[i] = np.ascontiguousarray(a, dtype=np.float64 if i < 2 else np.int32)
-                held_at[i] = _address(a) if a.flags.writeable else a.ctypes.data
-        n = held[0].size
-        if held[1].size != max(n - 1, 0) or len(arrays) > 2 and not held[2].size == held[3].size == n:
-            sizes = [a.size for a in held[: len(arrays)]]
-            raise ValueError(f"LAPACK band arguments of sizes {sizes} for n = {n}")
-        if self.work.size < 5 * n:
-            self.grow(n, self.shifts.size)
-        return n, self.held_at
-
-    def done(self, n: int) -> None:
-        """End a call on a block of n (see the class docstring)."""
-        if 2 * n >= _CONCURRENT_N:
-            self.held, self.held_at = [None] * 4, [0] * 4
-            self.grow(0, 0)
-
-
-_scratch = _Scratch()
-
-
-def _address(out: np.ndarray) -> int:
-    """Address of a writable contiguous array, quicker than ``out.ctypes.data``
-    (0 for an empty one, which LAPACK does not read)."""
-    return ctypes.addressof(ctypes.c_char.from_buffer(out)) if out.size else 0
+def _bands(*arrays) -> list[np.ndarray]:
+    """d (n doubles), e (n - 1) and any further arrays (n ints each) of a
+    LAPACK call, converted as f2py converts them; ValueError unless n >= 1
+    and every size fits it, as LAPACK would read past a short band."""
+    bands = [
+        np.ascontiguousarray(a, np.float64 if i < 2 else np.int32) for i, a in enumerate(arrays)
+    ]
+    n = bands[0].size
+    if n < 1 or bands[1].size != n - 1 or any(a.size != n for a in bands[2:]):
+        raise ValueError(f"LAPACK band arguments of sizes {[a.size for a in bands]} for n = {n}")
+    return bands
 
 
 def dstebz(d, e, select, vl, vu, il, iu, tol, order):
     """LAPACK ``stebz`` with the arguments and results of scipy's
     ``scipy.linalg.lapack.dstebz``: ``m, w, iblock, isplit, info``."""
-    s = _scratch
-    n, (d_at, e_at, *_) = s.bands(d, e)
-    ints, reals, i_at, r_at = s.ints, s.reals, s.int_at, s.real_at
-    ints[0], ints[1], ints[2] = n, il, iu
-    reals[0], reals[1], reals[2] = vl, vu, tol
-    w, iblock, isplit = np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32)
+    d, e = _bands(d, e)
+    n = d.size
+    # w has its own memory, as a caller may hold it; reals: vl, vu, tol and 4n
+    # of work; ints: n, il, iu, m, nsplit, info, iblock, isplit and 3n of work
+    w, reals, ints = np.zeros(n), np.empty(3 + 4 * n), np.empty(6 + 5 * n, np.int32)
+    reals[:3], ints[:3], ints[3 : 6 + 2 * n] = (vl, vu, tol), (n, il, iu), 0
+    w_at, r, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (w, reals, ints))
     _lapack("dstebz")(
         b"A" if select <= 0 else b"V" if select == 1 else b"I",
         order.encode() if isinstance(order, str) else order,
-        i_at[0], r_at[0], r_at[1], i_at[1], i_at[2], r_at[2], d_at, e_at, i_at[3], i_at[4],
-        _address(w), _address(iblock), _address(isplit), s.work_at, s.iwork_at, i_at[5],
+        i, r, r + 8, i + 4, i + 8, r + 16, d.ctypes.data, e.ctypes.data, i + 12, i + 16,
+        w_at, i + 24, i + 24 + 4 * n, r + 24, i + 24 + 8 * n, i + 20,
     )  # fmt: skip
-    s.done(n)
-    return ints[3], w, iblock, isplit, ints[5]
+    return int(ints[3]), w, ints[6 : 6 + n], ints[6 + n : 6 + 2 * n], int(ints[5])
 
 
 def dstein(d, e, w, iblock, isplit):
     """LAPACK ``stein`` with the arguments and results of scipy's
     ``scipy.linalg.lapack.dstein``: ``z, info``."""
-    s = _scratch
-    n, (d_at, e_at, iblock_at, isplit_at) = s.bands(d, e, iblock, isplit)
-    m = len(w)
-    if s.shifts.size < m:
-        s.grow(n, m)
-    s.shifts[:m] = w
-    ints, i_at = s.ints, s.int_at
-    ints[0], ints[1], ints[2] = n, m, max(n, 1)
-    z = np.zeros((m, n))  # returned transposed: f2py's Fortran-ordered n x m
+    d, e, iblock, isplit = _bands(d, e, iblock, isplit)
+    n, m = d.size, len(w)
+    # reals: the m shifts, 5n of work and z, returned transposed as f2py's
+    # Fortran-ordered n x m; ints: n, m, ldz, info, n of work and ifail (m)
+    reals, ints = np.empty(m + 5 * n + m * n), np.zeros(4 + n + m, np.int32)
+    reals[:m], reals[m + 5 * n :] = w, 0.0
+    ints[:3] = n, m, n
+    r, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (reals, ints))
     _lapack("dstein")(
-        i_at[0], d_at, e_at, i_at[1], s.shifts_at, iblock_at, isplit_at, _address(z), i_at[2],
-        s.work_at, s.iwork_at, s.iwork_at + 4 * n, i_at[5],
+        i, d.ctypes.data, e.ctypes.data, i + 4, r, iblock.ctypes.data, isplit.ctypes.data,
+        r + 8 * (m + 5 * n), i + 8, r + 8 * m, i + 16, i + 16 + 4 * n, i + 12,
     )  # fmt: skip
-    s.done(n)
-    return z.T, ints[5]
+    return reals[m + 5 * n :].reshape(m, n).T, int(ints[3])
 
 
 # the whole-block solve of _block_eigenvectors; bench/tracing.py wraps this name
@@ -444,11 +390,11 @@ def _shift_tol(params: ProlateParams) -> float:
     return params.n * math.sin(2.0 * math.pi * params.w) / 2.0**16
 
 
-def _concurrent(n: int) -> bool:
-    """Whether a round of a width count at size n solves its second order on
-    the worker thread: from ``_CONCURRENT_N`` on, with two CPUs to run on."""
+def _concurrent() -> bool:
+    """Whether a round of a width count solves its second order on the worker
+    thread: with two CPUs in the affinity mask to run on."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return n >= _CONCURRENT_N and (cpus or 1) >= 2
+    return (cpus or 1) >= 2
 
 
 @functools.cache
@@ -477,7 +423,7 @@ def _solve_probes(
     def solve(k: int, window, out: np.ndarray) -> np.ndarray:
         return _block_eigenvectors(*blocks[k % 2], k // 2, k // 2, tol, window, out)
 
-    if len(jobs) == 2 and _concurrent(n):
+    if len(jobs) == 2 and _concurrent():
         later = _worker().submit(solve, *jobs[1])
         try:
             first = solve(*jobs[0])

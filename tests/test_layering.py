@@ -84,12 +84,16 @@ def test_demo_imports_resolve(demo):
 # the package's start-up imports no scipy module: numpy does the transforms
 # and builds the dense matrix, and spectrum's LAPACK forwarders import
 # scipy.linalg on the first solve, so commands that solve nothing skip the
-# half of the start-up that importing it costs. Nor does it start a thread or
-# load the thread pool's module: a width count goes in rounds at every N, but
-# only from spectrum._CONCURRENT_N on, with two CPUs, does a round solve its
-# second order on the worker thread; below it, as for the width command here,
-# both run on the calling thread. (concurrent.futures itself comes with
-# scipy.linalg on numpy 2, through numpy.testing.)
+# half of the start-up that importing it costs. Nor do they start a thread or
+# load the thread pool's module. A width count goes in rounds at every N, and
+# with two CPUs in the affinity mask (which the child process inherits) a
+# round solves its second order on the worker thread, so the width command
+# here starts it exactly then; with one CPU both run on the calling thread.
+# (concurrent.futures itself comes with scipy.linalg on numpy 2, through
+# numpy.testing.)
+_WORKER = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+) >= 2
 _START_UP = """
 import contextlib, io, sys, threading
 code = 0
@@ -114,7 +118,8 @@ print(code, 'scipy' in {m.split('.')[0] for m in sys.modules}, 'scipy.linalg' in
         (["eigs", "--n", "256", "--w", "0.2", "--method", "dense", "--krange", "40:60"],
          "0 False False 1 False"),
         # the first solve loads scipy.linalg through the forwarders
-        (["width", "--n", "64", "--w", "0.2", "--eps", "1e-3"], "0 True True 1 False"),
+        (["width", "--n", "64", "--w", "0.2", "--eps", "1e-3"],
+         f"0 True True {1 + _WORKER} {_WORKER}"),
     ],
     ids=["import", "help", "usage-error", "bounds", "dense-eigs", "width"],
 )

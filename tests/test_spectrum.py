@@ -581,7 +581,7 @@ def test_lapack_forwarders_match_scipys_f2py_wrappers_bit_for_bit():
 
 def test_lapack_forwarders_refuse_bands_of_the_wrong_size():
     # LAPACK would read past the end of a short band: the forwarders check the
-    # sizes on every call, also of arrays held from the call before, so an
+    # sizes on every call, also of arrays passed to the call before, so an
     # off-diagonal or an iblock from another block raises instead
     import prolate.spectrum as spectrum
 
@@ -595,6 +595,41 @@ def test_lapack_forwarders_refuse_bands_of_the_wrong_size():
     with pytest.raises(ValueError, match="band arguments of sizes"):
         spectrum.dstebz(d8, e5, 1, 0.0, 1.0, 0, 0, 0.1, "E")
     assert spectrum.dstein(d5, e5, [1.0], iblock, isplit)[1] == 0
+
+
+@pytest.mark.parametrize("size", [5, 2**15])
+def test_lapack_forwarders_keep_no_reference_to_their_arrays(size):
+    # each call allocates its own workspaces and keeps nothing after it
+    # returns: the bands, iblock and isplit passed in and the arrays given
+    # back are referenced by the caller alone, and the next call's results
+    # share no memory with them, on the calling thread and on a second one
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    import prolate.spectrum as spectrum
+
+    def call():
+        d, e = np.linspace(-1.0, 1.0, size), np.full(size - 1, 0.5)
+        iblock, isplit = np.ones(size, dtype=np.int32), np.full(size, size, dtype=np.int32)
+        passed = (d, e, iblock, isplit)
+        before = [sys.getrefcount(a) for a in passed]
+        m, w, blocks, splits, info = spectrum.dstebz(d, e, 2, 0.0, 1.0, size, size, 0.0, "E")
+        z, z_info = spectrum.dstein(d, e, w[:m], iblock, isplit)
+        assert (m, info, z_info) == (1, 0, 0)
+        assert [sys.getrefcount(a) for a in passed] == before
+        fresh = np.zeros(1)
+        counts = [sys.getrefcount(w), sys.getrefcount(blocks), sys.getrefcount(splits)]
+        assert counts + [sys.getrefcount(z)] == [sys.getrefcount(fresh)] * 4
+        return w, blocks, splits, z
+
+    def check():
+        first, second = call(), call()
+        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    check()
+    with ThreadPoolExecutor(1) as pool:
+        pool.submit(check).result(timeout=60)
 
 
 @pytest.mark.parametrize(
@@ -845,7 +880,7 @@ def test_concurrent_rounds_count_as_the_serial_search(monkeypatch, n, w, eps_lis
 
     p = ProlateParams(n, w)
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_concurrent", lambda n: True)
+        patch.setattr(spectrum, "_concurrent", lambda: True)
         threaded = _probed(monkeypatch, p, eps_list)
         patch.setattr(spectrum, "_worker", _InlineWorker)
         inline = _probed(monkeypatch, p, eps_list)
@@ -861,21 +896,21 @@ def test_concurrent_rounds_count_as_the_serial_search(monkeypatch, n, w, eps_lis
 
 
 @pytest.mark.parametrize(
-    "n, on_worker", [(16384, True), (16384, False), (4096, False)],
+    "concurrent, on_worker", [(True, True), (True, False), (False, False)],
     ids=["worker", "calling-thread", "inline"],
 )  # fmt: skip
-def test_failed_stein_in_a_concurrent_round_exits_four(monkeypatch, capsys, n, on_worker):
+def test_failed_stein_in_a_concurrent_round_exits_four(monkeypatch, capsys, concurrent, on_worker):
     # a stein failure in either of a round's two solves, on the worker thread
-    # or on the calling one (where, below the gate, both run), is one error
-    # line and exit 4, and the next width count succeeds
+    # or on the calling one (where, with one CPU, both run), is one error line
+    # and exit 4, and the next width count succeeds
     import threading
 
     import prolate.spectrum as spectrum
     from prolate.cli import main
 
-    argv = ["width", "--n", str(n), "--w", "0.2", "--eps", "1e-13"]
-    if n >= spectrum._CONCURRENT_N:  # the worker, whatever the CPUs here
-        monkeypatch.setattr(spectrum, "_concurrent", lambda n: True)
+    argv = ["width", "--n", "4096", "--w", "0.2", "--eps", "1e-13"]
+    # the worker or none, whatever the CPUs here
+    monkeypatch.setattr(spectrum, "_concurrent", lambda: concurrent)
     caller, stein = threading.get_ident(), spectrum.dstein
 
     def failing(d, e, w, iblock, isplit):
