@@ -72,11 +72,11 @@ so logit(lambda_k) is nearly linear in k and odd about 2NW - 1/2) and by
 the probes' mirror images: 4 probes in 2 rounds at N = 2**16 and one eps.
 The search, :func:`_search_runs`, names no solver: it calls a probe with one
 or two (order, window) pairs, which returns lambda_k, 1 - lambda_k and chi_k
-of each, and :func:`_solve_probes` is that probe. At every N, with two CPUs
-in the affinity mask, the bisection and ``stein`` of a round's second order
-run on one worker thread beside the first's (LAPACK releases the GIL, see
-below); with one, after it, and no thread is started. The rest follows on
-the calling thread, so the probes do not depend on the CPUs.
+of each, and :func:`_solve_probes` is that probe. The bisection and
+``stein`` of a round's second order always run on one worker thread beside
+the first's (LAPACK releases the GIL, see below; with one CPU the two calls
+share it). The rest follows on the calling thread, so the probes do not
+depend on the CPUs.
 
 The continuous (PSWF) eigenvalues are reached through a discrete proxy:
 the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
@@ -86,15 +86,18 @@ the instance (N, c/(pi N)) has eigenvalues within the closed-form radius
 The module imports no scipy, so commands that solve nothing start without
 it; the first solve loads ``scipy.linalg``. ``eigh_tridiagonal`` is a
 forwarder that imports scipy's routine on the first call and passes every
-argument through. ``dstebz`` and ``dstein`` take the arguments and give the
-results of scipy's f2py wrappers ``scipy.linalg.lapack.dstebz`` and
-``dstein``, bit for bit, but call LAPACK by ``ctypes`` through the function
-pointers of ``scipy.linalg.cython_lapack``, which releases the GIL for the
-call: the f2py wrappers hold it, so two threads bisecting through them take
-as long as one after the other. Each call allocates its own arguments,
-outputs and workspaces and keeps none of them, so on a 3 x 3 block a call
-costs about 12 us against f2py's 2 us for ``stebz`` and 1 us for ``stein``
-(2-vCPU Xeon VM).
+argument through. :func:`_stebz` and :func:`_stein` each make one LAPACK
+call, ``stebz`` to bisect (order "E", its ``iblock`` and ``isplit`` kept
+inside) and ``stein`` at one shift in one unreduced block, and raise
+NumericalError on a nonzero ``info``. They give what scipy's f2py wrappers
+``scipy.linalg.lapack.dstebz`` and ``dstein`` give, bit for bit, but call
+LAPACK by ``ctypes`` through the function pointers of
+``scipy.linalg.cython_lapack``, which releases the GIL for the call: the
+f2py wrappers hold it, so two threads bisecting through them take as long
+as one after the other. Each call allocates its own arguments, outputs and
+workspaces and keeps none of them, so on a 3 x 3 block a call costs about
+10 us against f2py's 1.3 us for ``stebz`` and 9 us against 1 us for
+``stein`` (2-vCPU Xeon VM).
 """
 
 from __future__ import annotations
@@ -102,7 +105,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +142,7 @@ ADVISORY_EPS = 1e-12
 _CHUNK_ENTRIES = 2**19
 
 
-# LAPACK forwarders: importing scipy.linalg is about half of the CLI's
+# LAPACK calls: importing scipy.linalg is about half of the CLI's
 # start-up, so it waits for the first call (see the module docstring)
 @functools.cache
 def _lapack(name: str):
@@ -157,56 +159,6 @@ def _lapack(name: str):
     c_type = signature(capsule)  # b"void (char *, char *, int *, ...)"
     function = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * (c_type.count(b",") + 1))
     return function(address(capsule, c_type))
-
-
-def _bands(*arrays) -> list[np.ndarray]:
-    """d (n doubles), e (n - 1) and any further arrays (n ints each) of a
-    LAPACK call, converted as f2py converts them; ValueError unless n >= 1
-    and every size fits it, as LAPACK would read past a short band."""
-    bands = [
-        np.ascontiguousarray(a, np.float64 if i < 2 else np.int32) for i, a in enumerate(arrays)
-    ]
-    n = bands[0].size
-    if n < 1 or bands[1].size != n - 1 or any(a.size != n for a in bands[2:]):
-        raise ValueError(f"LAPACK band arguments of sizes {[a.size for a in bands]} for n = {n}")
-    return bands
-
-
-def dstebz(d, e, select, vl, vu, il, iu, tol, order):
-    """LAPACK ``stebz`` with the arguments and results of scipy's
-    ``scipy.linalg.lapack.dstebz``: ``m, w, iblock, isplit, info``."""
-    d, e = _bands(d, e)
-    n = d.size
-    # w has its own memory, as a caller may hold it; reals: vl, vu, tol and 4n
-    # of work; ints: n, il, iu, m, nsplit, info, iblock, isplit and 3n of work
-    w, reals, ints = np.zeros(n), np.empty(3 + 4 * n), np.empty(6 + 5 * n, np.int32)
-    reals[:3], ints[:3], ints[3 : 6 + 2 * n] = (vl, vu, tol), (n, il, iu), 0
-    w_at, r, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (w, reals, ints))
-    _lapack("dstebz")(
-        b"A" if select <= 0 else b"V" if select == 1 else b"I",
-        order.encode() if isinstance(order, str) else order,
-        i, r, r + 8, i + 4, i + 8, r + 16, d.ctypes.data, e.ctypes.data, i + 12, i + 16,
-        w_at, i + 24, i + 24 + 4 * n, r + 24, i + 24 + 8 * n, i + 20,
-    )  # fmt: skip
-    return int(ints[3]), w, ints[6 : 6 + n], ints[6 + n : 6 + 2 * n], int(ints[5])
-
-
-def dstein(d, e, w, iblock, isplit):
-    """LAPACK ``stein`` with the arguments and results of scipy's
-    ``scipy.linalg.lapack.dstein``: ``z, info``."""
-    d, e, iblock, isplit = _bands(d, e, iblock, isplit)
-    n, m = d.size, len(w)
-    # reals: the m shifts, 5n of work and z, returned transposed as f2py's
-    # Fortran-ordered n x m; ints: n, m, ldz, info, n of work and ifail (m)
-    reals, ints = np.empty(m + 5 * n + m * n), np.zeros(4 + n + m, np.int32)
-    reals[:m], reals[m + 5 * n :] = w, 0.0
-    ints[:3] = n, m, n
-    r, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (reals, ints))
-    _lapack("dstein")(
-        i, d.ctypes.data, e.ctypes.data, i + 4, r, iblock.ctypes.data, isplit.ctypes.data,
-        r + 8 * (m + 5 * n), i + 8, r + 8 * m, i + 16, i + 16 + 4 * n, i + 12,
-    )  # fmt: skip
-    return reals[m + 5 * n :].reshape(m, n).T, int(ints[3])
 
 
 # the whole-block solve of _block_eigenvectors; bench/tracing.py wraps this name
@@ -390,13 +342,6 @@ def _shift_tol(params: ProlateParams) -> float:
     return params.n * math.sin(2.0 * math.pi * params.w) / 2.0**16
 
 
-def _concurrent() -> bool:
-    """Whether a round of a width count solves its second order on the worker
-    thread: with two CPUs in the affinity mask to run on."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) >= 2
-
-
 @functools.cache
 def _worker():
     """The one worker thread of the rounds' second probes, made on first use."""
@@ -410,10 +355,9 @@ def _solve_probes(
 ) -> list[tuple[float, float, float]]:
     """(lambda_k, 1 - lambda_k, chi_k) of one or two one-order probes (order,
     window), the probe of :func:`_search_runs`: the second's block solve runs
-    on the worker thread beside the first's where :func:`_concurrent` allows,
-    else after it; mirroring and Rayleigh quotients follow on this thread."""
+    on the worker thread beside the first's; mirroring and Rayleigh quotients
+    follow on this thread."""
     n = params.n
-    _check_entries(n, 1)
     # the Rayleigh quotients' symbol, made first so that its transforms do not
     # add to the memory that the two solves hold
     _prolate_symbol(params)
@@ -423,7 +367,7 @@ def _solve_probes(
     def solve(k: int, window, out: np.ndarray) -> np.ndarray:
         return _block_eigenvectors(*blocks[k % 2], k // 2, k // 2, tol, window, out)
 
-    if len(jobs) == 2 and _concurrent():
+    if len(jobs) == 2:
         later = _worker().submit(solve, *jobs[1])
         try:
             first = solve(*jobs[0])
@@ -441,16 +385,53 @@ def _solve_probes(
 def _stebz(diag: np.ndarray, off: np.ndarray, select: int, lo, hi, tol: float) -> np.ndarray:
     """The block's eigenvalues in (lo, hi] (``select`` 1) or its lo-th..hi-th
     smallest, counted from 1 (``select`` 2), ascending, bisected to ``tol`` by
-    LAPACK ``stebz``: the one bisection entry point, called with the
-    arguments that scipy's tridiagonal solvers pass to it."""
+    one LAPACK ``stebz`` call: the one bisection entry point, called as
+    scipy's tridiagonal solvers call it. NumericalError on a nonzero
+    ``info``; ValueError unless the bands have sizes n >= 1 and n - 1, as
+    LAPACK would read past a short one."""
+    d, e = (np.ascontiguousarray(a, np.float64) for a in (diag, off))
+    n = d.size
+    if n < 1 or e.size != n - 1:
+        raise ValueError(f"LAPACK band arguments of sizes {[d.size, e.size]} for n = {n}")
     vl, vu, il, iu = (lo, hi, 0, 0) if select == 1 else (0.0, 1.0, lo, hi)
-    m, w, _, _, info = dstebz(diag, off, select, vl, vu, il, iu, tol, "E")
-    if info != 0:
+    # w has its own memory, as the caller holds it; reals: vl, vu, tol and 4n of
+    # work; ints: n, il, iu, m, nsplit, info, iblock, isplit and 3n of work
+    w, reals, ints = np.empty(n), np.empty(3 + 4 * n), np.empty(6 + 5 * n, np.int32)
+    reals[:3], ints[:3] = (vl, vu, tol), (n, il, iu)
+    w_at, r, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (w, reals, ints))
+    _lapack("dstebz")(
+        b"V" if select == 1 else b"I", b"E",
+        i, r, r + 8, i + 4, i + 8, r + 16, d.ctypes.data, e.ctypes.data, i + 12, i + 16,
+        w_at, i + 24, i + 24 + 4 * n, r + 24, i + 24 + 8 * n, i + 20,
+    )  # fmt: skip
+    if ints[5] != 0:
         what = f"({lo}, {hi}]" if select == 1 else f"indices {lo}..{hi}"
-        raise NumericalError(
-            f"LAPACK stebz failed in {what} of a block of {diag.size} (info={info})"
-        )
-    return w[:m]
+        raise NumericalError(f"LAPACK stebz failed in {what} of a block of {n} (info={ints[5]})")
+    return w[: ints[3]]
+
+
+def _stein(diag: np.ndarray, off: np.ndarray, shift: float, out: np.ndarray) -> None:
+    """The unit eigenvector of the block at ``shift`` (a coarse eigenvalue),
+    written into ``out`` (n entries), by one LAPACK ``stein`` call with that
+    one shift; NumericalError if it does not converge, ValueError on bands of
+    the wrong sizes, as for :func:`_stebz`."""
+    d, e = (np.ascontiguousarray(a, np.float64) for a in (diag, off))
+    n = d.size
+    if n < 1 or e.size != n - 1:
+        raise ValueError(f"LAPACK band arguments of sizes {[d.size, e.size]} for n = {n}")
+    # reals: the shift, 5n of work and z; ints: n, m = 1, ldz, info, iblock (all
+    # 1: one unreduced block), isplit (all n), n of work and ifail
+    reals, ints = np.empty(1 + 6 * n), np.empty(5 + 3 * n, np.int32)
+    reals[0], ints[:3] = shift, (n, 1, n)
+    ints[4 : 4 + n], ints[4 + n : 4 + 2 * n] = 1, n
+    r, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (reals, ints))
+    _lapack("dstein")(
+        i, d.ctypes.data, e.ctypes.data, i + 4, r, i + 16, i + 16 + 4 * n,
+        r + 8 * (1 + 5 * n), i + 8, r + 8, i + 16 + 8 * n, i + 16 + 12 * n, i + 12,
+    )  # fmt: skip
+    if ints[3] != 0:
+        raise NumericalError(f"LAPACK stein did not converge at shift {shift} (info={ints[3]})")
+    out[:] = reals[1 + 5 * n :]
 
 
 def _block_eigenvectors(
@@ -513,14 +494,8 @@ def _block_eigenvectors(
     if shifts is None:
         # ascending block order runs against k; flip so column j is index jlo + j
         shifts = _stebz(diag, off, 2, size - jhi, size - jlo, tol)[::-1]
-    iblock, isplit = np.ones(size, dtype=np.int32), np.full(size, size, dtype=np.int32)
-    for j in range(shifts.size):
-        vec, info = dstein(diag, off, shifts[j : j + 1], iblock, isplit)
-        if info != 0:
-            raise NumericalError(
-                f"LAPACK stein did not converge at shift {shifts[j]} (info={info})"
-            )
-        out[:size, j] = vec[:, 0]
+    for j, shift in enumerate(shifts):
+        _stein(diag, off, shift, out[:size, j])
     return shifts
 
 
@@ -881,6 +856,8 @@ def transition_widths(params: ProlateParams, eps_list) -> list[TransitionReport]
         raise ParameterError(
             f"eps must exceed the resolution floor {RESOLUTION_FLOOR:g}, got {eps_min}"
         )
+    # every probe holds one vector of length n: past the entry cap, refuse before any solve
+    _check_entries(params.n, 1)
     n, two_pi_w = params.n, 2.0 * math.pi * params.w
     # Slepian's line, logit(lambda_k) ~ -(k - mid) / scale; where N sin(2 pi W) < 1
     # the log would make it rise in k, and scale 0 puts every level at mid instead

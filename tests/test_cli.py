@@ -720,18 +720,20 @@ def test_eigensolver_failure_exit_four(capsys, monkeypatch):
     # a nonzero info from LAPACK stebz bisecting by index surfaces as
     # NumericalError, exit 4; a slice bisects by index (a width probe first
     # bisects in a predicted window, see test_stebz_window_failure_raises)
-    import numpy as np
+    import ctypes
+
     import prolate.spectrum as spectrum
 
-    bisect = spectrum.dstebz
+    routine = spectrum._lapack
 
-    def fail_by_index(diag, off, select, vl, vu, il, iu, tol, order):
-        if select != 2:
-            return bisect(diag, off, select, vl, vu, il, iu, tol, order)
-        empty = np.zeros(diag.size, dtype=np.int32)
-        return 0, np.zeros(diag.size), empty, empty, 1
+    def fail_by_index(*args):  # LAPACK's own call, then INFO = 1 where RANGE is "I"
+        routine("dstebz")(*args)
+        if args[0] == b"I":
+            ctypes.c_int.from_address(args[-1]).value = 1
 
-    monkeypatch.setattr(spectrum, "dstebz", fail_by_index)
+    monkeypatch.setattr(
+        spectrum, "_lapack", lambda name: fail_by_index if name == "dstebz" else routine(name)
+    )
     code, out, err = run(capsys, "eigs", "--n", "64", "--w", "0.1")
     assert (code, out) == (4, "")
     assert err.startswith("error: LAPACK stebz failed in indices ")

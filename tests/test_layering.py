@@ -82,18 +82,13 @@ def test_demo_imports_resolve(demo):
 
 
 # the package's start-up imports no scipy module: numpy does the transforms
-# and builds the dense matrix, and spectrum's LAPACK forwarders import
+# and builds the dense matrix, and spectrum's LAPACK calls import
 # scipy.linalg on the first solve, so commands that solve nothing skip the
 # half of the start-up that importing it costs. Nor do they start a thread or
-# load the thread pool's module. A width count goes in rounds at every N, and
-# with two CPUs in the affinity mask (which the child process inherits) a
-# round solves its second order on the worker thread, so the width command
-# here starts it exactly then; with one CPU both run on the calling thread.
-# (concurrent.futures itself comes with scipy.linalg on numpy 2, through
-# numpy.testing.)
-_WORKER = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-) >= 2
+# load the thread pool's module. A width count goes in rounds, and a round
+# solves its second order on the worker thread on any number of CPUs, so the
+# width command here starts it. (concurrent.futures itself comes with
+# scipy.linalg on numpy 2, through numpy.testing.)
 _START_UP = """
 import contextlib, io, sys, threading
 code = 0
@@ -117,9 +112,8 @@ print(code, 'scipy' in {m.split('.')[0] for m in sys.modules}, 'scipy.linalg' in
          "0 False False 1 False"),
         (["eigs", "--n", "256", "--w", "0.2", "--method", "dense", "--krange", "40:60"],
          "0 False False 1 False"),
-        # the first solve loads scipy.linalg through the forwarders
-        (["width", "--n", "64", "--w", "0.2", "--eps", "1e-3"],
-         f"0 True True {1 + _WORKER} {_WORKER}"),
+        # the first solve loads scipy.linalg through the LAPACK calls
+        (["width", "--n", "64", "--w", "0.2", "--eps", "1e-3"], "0 True True 2 True"),
     ],
     ids=["import", "help", "usage-error", "bounds", "dense-eigs", "width"],
 )
@@ -142,7 +136,6 @@ def test_width_search_reaches_the_spectrum_only_through_its_probe():
     ]  # fmt: skip
     named = {node.id for node in ast.walk(search) if isinstance(node, ast.Name)}
     named |= {node.attr for node in ast.walk(search) if isinstance(node, ast.Attribute)}
-    forbidden = {"dstebz", "dstein", "_stebz", "_block_eigenvectors", "_solve_probes"}
-    forbidden |= {"_worker", "_concurrent", "np"}
+    forbidden = {"_stebz", "_stein", "_block_eigenvectors", "_solve_probes", "_worker", "np"}
     assert not named & forbidden, named & forbidden
     assert "probe" in {arg.arg for arg in search.args.args}

@@ -1,6 +1,5 @@
 import functools
 import math
-import os
 
 import numpy as np
 import pytest
@@ -94,6 +93,28 @@ def test_tridiagonal_entry_cap_follows_dense_cap(monkeypatch):
     assert tridiagonal_spectrum(p, 12, 12).lam.shape == (1,)
     with pytest.raises(CapacityError):
         tridiagonal_spectrum(p, 12, 13)
+
+
+def test_width_count_past_the_entry_cap_solves_nothing(monkeypatch, capsys):
+    # a width count holds one vector of length N per probe: past the entry
+    # cap it raises CapacityError before any bisection, and the CLI exits 2
+    # with one error line
+    import prolate.spectrum as spectrum
+    from prolate.cli import main
+
+    calls = []
+    bisect = spectrum._stebz
+    monkeypatch.setattr(spectrum, "_stebz", lambda *a: calls.append(a[2]) or bisect(*a))
+    monkeypatch.setenv("PROLATE_DENSE_CAP", "8")
+    with pytest.raises(CapacityError, match="1 eigenvector"):
+        transition_width(ProlateParams(65, 0.2), 1e-3)
+    assert calls == []
+    assert main(["width", "--n", "65", "--w", "0.2", "--eps", "1e-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
+    assert transition_width(ProlateParams(64, 0.2), 1e-3).width > 0 and calls
 
 
 def test_tridiagonal_complement_precision():
@@ -307,8 +328,8 @@ def test_parity_blocks_of_size_one_need_no_solve(monkeypatch, n, orders):
     def refuse(*args, **kwargs):
         raise AssertionError("a 1 x 1 parity block reached a solver")
 
-    monkeypatch.setattr(spectrum, "dstebz", refuse)
-    monkeypatch.setattr(spectrum, "dstein", refuse)
+    monkeypatch.setattr(spectrum, "_stebz", refuse)
+    monkeypatch.setattr(spectrum, "_stein", refuse)
     _, ref = np.linalg.eigh(_dense_t(n, 0.2))
     for k in orders:
         got = spectrum._concentration_eigenvectors(ProlateParams(n, 0.2), k, k)[1][:, 0]
@@ -438,16 +459,30 @@ def test_stemr_failure_raises(monkeypatch, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _failing_lapack(monkeypatch, name, fails):
+    """Make LAPACK routine ``name`` report info = 1 after each of its calls
+    whose (pointer and character) arguments ``fails`` holds for, so that the
+    module's own info check sees the failure."""
+    import ctypes
+
+    import prolate.spectrum as spectrum
+
+    routine = spectrum._lapack
+
+    def failing(*args):
+        routine(name)(*args)
+        if fails(args):
+            ctypes.c_int.from_address(args[-1]).value = 1  # INFO, the last argument
+
+    monkeypatch.setattr(spectrum, "_lapack", lambda n: failing if n == name else routine(n))
+
+
 def test_stein_failure_raises(monkeypatch, capsys):
     # a nonzero info from LAPACK stein (a vector that did not converge) is a
     # NumericalError, which the CLI reports as one error line with exit 4
-    import prolate.spectrum as spectrum
     from prolate.cli import main
 
-    def failing(diag, off, shifts, iblock, isplit):
-        return np.zeros((diag.size, shifts.size)), 1
-
-    monkeypatch.setattr(spectrum, "dstein", failing)
+    _failing_lapack(monkeypatch, "dstein", lambda args: True)
     with pytest.raises(NumericalError, match="stein"):
         tridiagonal_spectrum(ProlateParams(64, 0.2), 20, 30)
     code = main(["width", "--n", "1000", "--w", "0.125", "--eps", "1e-3"])
@@ -461,18 +496,9 @@ def test_stebz_window_failure_raises(monkeypatch, capsys):
     # a nonzero info from LAPACK stebz while a width probe bisects in its
     # predicted window is a NumericalError, which the CLI reports as one
     # error line with exit 4; slices bisect by index and never bisect by value
-    import prolate.spectrum as spectrum
     from prolate.cli import main
 
-    bisect = spectrum.dstebz
-
-    def failing(diag, off, select, vl, vu, il, iu, tol, order):
-        if select != 1:
-            return bisect(diag, off, select, vl, vu, il, iu, tol, order)
-        empty = np.zeros(diag.size, dtype=np.int32)
-        return 0, np.zeros(diag.size), empty, empty, 1
-
-    monkeypatch.setattr(spectrum, "dstebz", failing)
+    _failing_lapack(monkeypatch, "dstebz", lambda args: args[0] == b"V")  # RANGE by value
     p = ProlateParams(64, 0.2)
     tridiagonal_spectrum(p, 0, 63)
     with pytest.raises(NumericalError, match=r"LAPACK stebz failed in \(.* of a block of 32"):
@@ -514,10 +540,11 @@ def test_stebz_matches_scipys_bisection_bit_for_bit(n, w, parity):
 
 
 def _lapack_calls():
-    """(d, e, stebz arguments) on 2 x 2 and 3 x 3 blocks and on parity blocks
-    of (1000, 0.2) and (2^16, 0.15): the top four eigenvalues by index, and
-    windows by value that hold none, one and all four of them, to a coarse
-    tolerance and, but in the largest block, to full accuracy in block order."""
+    """(d, e, select, lo, hi, tol) of :func:`_stebz` on 2 x 2 and 3 x 3 blocks
+    and on parity blocks of (1000, 0.2) and (2^16, 0.15): the top four
+    eigenvalues by index, and windows by value that hold none, one and all
+    four of them, to a coarse tolerance and, but in the largest block, to
+    full accuracy."""
     import prolate.spectrum as spectrum
     from scipy.linalg.lapack import dstebz
 
@@ -534,97 +561,115 @@ def _lapack_calls():
         m, w, *_ = dstebz(d, e, 2, 0.0, 1.0, *top, 0.0, "E")
         v = w[:m]
         g = float(np.min(np.diff(v))) / 2.0
-        calls.append((d, e, 2, 0.0, 1.0, *top, tol, "E"))
+        calls.append((d, e, 2, *top, tol))
         for lo, hi in [(v[-1] + g, v[-1] + 2 * g), (v[-1] - g, v[-1] + g), (v[0] - g, v[-1] + g)]:
-            calls.append((d, e, 1, lo, hi, 0, 0, tol, "E"))
+            calls.append((d, e, 1, lo, hi, tol))
             if d.size < 2**10:
-                calls.append((d, e, 1, lo, hi, 0, 0, 0.0, "B"))
+                calls.append((d, e, 1, lo, hi, 0.0))
     return calls
 
 
-def _lapack_results(stebz, stein, calls):
-    """m, w[:m] and info of each stebz call, with stein's vectors and info at
-    the eigenvalues found (one shift per call, as the module makes them)."""
+def _scipy_results(calls):
+    """The eigenvalues that scipy's f2py ``dstebz`` finds for each call of
+    :func:`_lapack_calls`, each with the vector that its ``dstein`` gives
+    at that one shift."""
+    from scipy.linalg.lapack import dstebz, dstein
+
+    out = []
+    for d, e, select, lo, hi, tol in calls:
+        vl, vu, il, iu = (lo, hi, 0, 0) if select == 1 else (0.0, 1.0, lo, hi)
+        m, w, _, _, info = dstebz(d, e, select, vl, vu, il, iu, tol, "E")
+        assert info == 0
+        iblock, isplit = np.ones(d.size, dtype=np.int32), np.full(d.size, d.size, dtype=np.int32)
+        vectors = []
+        for j in range(m):
+            z, z_info = dstein(d, e, w[j : j + 1], iblock, isplit)
+            assert z_info == 0
+            vectors.append(z[:, 0])
+        out.append((w[:m], vectors))
+    return out
+
+
+def _module_results(calls):
+    """What :func:`_stebz` and :func:`_stein` give for the calls of
+    :func:`_scipy_results`."""
+    import prolate.spectrum as spectrum
+
     out = []
     for d, e, *args in calls:
-        m, w, _, _, info = stebz(d, e, *args)
-        iblock, isplit = np.ones(d.size, dtype=np.int32), np.full(d.size, d.size, dtype=np.int32)
-        vectors = [stein(d, e, w[j : j + 1], iblock, isplit) for j in range(m)]
-        out.append((m, w[:m], info, vectors))
+        w = spectrum._stebz(d, e, *args)
+        vectors = [np.empty(d.size) for _ in w]
+        for shift, z in zip(w, vectors):
+            spectrum._stein(d, e, shift, z)
+        out.append((w, vectors))
     return out
 
 
 def test_lapack_forwarders_match_scipys_f2py_wrappers_bit_for_bit():
-    # spectrum's dstebz and dstein call LAPACK through scipy.linalg.cython_lapack
-    # by ctypes, which releases the GIL; they return what scipy.linalg.lapack's
-    # wrappers return, to the bit, also when two threads call them at once
+    # _stebz and _stein call LAPACK through scipy.linalg.cython_lapack by
+    # ctypes, which releases the GIL; they give what scipy.linalg.lapack's
+    # wrappers give, to the bit, also when two threads call them at once
     from concurrent.futures import ThreadPoolExecutor
 
-    import prolate.spectrum as spectrum
-    from scipy.linalg import lapack
-
     calls = _lapack_calls()
-    ref = _lapack_results(lapack.dstebz, lapack.dstein, calls)
-    assert [r[0] for r in ref[-4:]] == [4, 0, 1, 4]  # the 2^16 block's calls
+    ref = _scipy_results(calls)
+    assert [w.size for w, _ in ref[-4:]] == [4, 0, 1, 4]  # the 2^16 block's calls
     with ThreadPoolExecutor(2) as pool:
-        runs = [_lapack_results(spectrum.dstebz, spectrum.dstein, calls)]
-        runs += pool.map(
-            _lapack_results, *zip(*[(spectrum.dstebz, spectrum.dstein, calls)] * 2), timeout=60
-        )
+        runs = [_module_results(calls), *pool.map(_module_results, [calls] * 2, timeout=60)]
     for got in runs:
-        for (m, w, info, vectors), (m_ref, w_ref, info_ref, vectors_ref) in zip(got, ref):
-            assert (m, info) == (m_ref, info_ref) and np.array_equal(w, w_ref)
-            for (z, z_info), (z_ref, z_info_ref) in zip(vectors, vectors_ref):
-                assert z_info == z_info_ref == 0
+        for (w, vectors), (w_ref, vectors_ref) in zip(got, ref, strict=True):
+            assert w.shape == w_ref.shape and np.array_equal(w, w_ref)
+            for z, z_ref in zip(vectors, vectors_ref, strict=True):
                 assert z.shape == z_ref.shape and np.array_equal(z, z_ref)
 
 
 def test_lapack_forwarders_refuse_bands_of_the_wrong_size():
-    # LAPACK would read past the end of a short band: the forwarders check the
-    # sizes on every call, also of arrays passed to the call before, so an
-    # off-diagonal or an iblock from another block raises instead
+    # LAPACK would read past the end of a short band: _stebz and _stein check
+    # the sizes on every call, so an off-diagonal from another block, or an
+    # empty block, raises instead
     import prolate.spectrum as spectrum
 
     d5, e5, d8, e8 = np.arange(5.0), np.ones(4), np.arange(8.0), np.ones(7)
-    iblock, isplit = np.ones(5, dtype=np.int32), np.full(5, 5, dtype=np.int32)
-    assert spectrum.dstein(d5, e5, [1.0], iblock, isplit)[1] == 0
-    assert spectrum.dstebz(d8, e8, 1, 0.0, 1.0, 0, 0, 0.1, "E")[4] == 0
-    for args in [(d8, e8, [1.0], iblock, isplit), (d5, e8, [1.0], iblock, isplit)]:
+    out = np.empty(5)
+    spectrum._stein(d5, e5, 1.0, out)
+    assert spectrum._stebz(d8, e8, 1, 0.0, 1.0, 0.1).size == 1
+    for d, e in [(d8, e5), (d5, e8), (np.empty(0), np.empty(0))]:
         with pytest.raises(ValueError, match="band arguments of sizes"):
-            spectrum.dstein(*args)
-    with pytest.raises(ValueError, match="band arguments of sizes"):
-        spectrum.dstebz(d8, e5, 1, 0.0, 1.0, 0, 0, 0.1, "E")
-    assert spectrum.dstein(d5, e5, [1.0], iblock, isplit)[1] == 0
+            spectrum._stein(d, e, 1.0, out)
+        with pytest.raises(ValueError, match="band arguments of sizes"):
+            spectrum._stebz(d, e, 1, 0.0, 1.0, 0.1)
+    spectrum._stein(d5, e5, 1.0, out)
+    assert np.linalg.norm(out) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("size", [5, 2**15])
 def test_lapack_forwarders_keep_no_reference_to_their_arrays(size):
     # each call allocates its own workspaces and keeps nothing after it
-    # returns: the bands, iblock and isplit passed in and the arrays given
-    # back are referenced by the caller alone, and the next call's results
-    # share no memory with them, on the calling thread and on a second one
+    # returns: the bands and the vector passed in and the eigenvalues given
+    # back (with the array they view) are referenced by the caller alone, and
+    # the next call's results share no memory with them, on the calling
+    # thread and on a second one
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     import prolate.spectrum as spectrum
 
     def call():
-        d, e = np.linspace(-1.0, 1.0, size), np.full(size - 1, 0.5)
-        iblock, isplit = np.ones(size, dtype=np.int32), np.full(size, size, dtype=np.int32)
-        passed = (d, e, iblock, isplit)
+        d, e, z = np.linspace(-1.0, 1.0, size), np.full(size - 1, 0.5), np.empty(size)
+        passed = (d, e, z)
         before = [sys.getrefcount(a) for a in passed]
-        m, w, blocks, splits, info = spectrum.dstebz(d, e, 2, 0.0, 1.0, size, size, 0.0, "E")
-        z, z_info = spectrum.dstein(d, e, w[:m], iblock, isplit)
-        assert (m, info, z_info) == (1, 0, 0)
+        w = spectrum._stebz(d, e, 2, size, size, 0.0)
+        spectrum._stein(d, e, w[0], z)
+        assert w.size == 1 and np.linalg.norm(z) == pytest.approx(1.0)
         assert [sys.getrefcount(a) for a in passed] == before
         fresh = np.zeros(1)
-        counts = [sys.getrefcount(w), sys.getrefcount(blocks), sys.getrefcount(splits)]
-        assert counts + [sys.getrefcount(z)] == [sys.getrefcount(fresh)] * 4
-        return w, blocks, splits, z
+        assert [sys.getrefcount(w), sys.getrefcount(w.base)] == [sys.getrefcount(fresh)] * 2
+        return w, z
 
     def check():
         first, second = call(), call()
-        assert not any(np.shares_memory(a, b) for a in first for b in second)
+        held = [[a if a.base is None else a.base for a in run] for run in (first, second)]
+        assert not any(np.shares_memory(a, b) for a in held[0] for b in held[1])
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     check()
@@ -871,61 +916,44 @@ _SEARCH_RUNS = {
     ],
 )
 def test_concurrent_rounds_count_as_the_serial_search(monkeypatch, n, w, eps_list, runs):
-    # a round's second solve may run on the worker thread, inline after the
-    # first (the worker stood in for), or after it with one CPU in the
-    # affinity mask, where the rounds run serially: the probes and every
-    # probe's lambda and 1 - lambda are the same bit for bit, and so are the
-    # runs, pinned to those of the one-order-at-a-time search
+    # a round's second solve runs on the worker thread, on any number of
+    # CPUs, or inline after the first where the worker is stood in for: the
+    # probes and every probe's lambda and 1 - lambda are the same bit for
+    # bit, and so are the runs, pinned to those of the one-order-at-a-time
+    # search
     import prolate.spectrum as spectrum
 
     p = ProlateParams(n, w)
+    threaded = _probed(monkeypatch, p, eps_list)
     with monkeypatch.context() as patch:
-        patch.setattr(spectrum, "_concurrent", lambda: True)
-        threaded = _probed(monkeypatch, p, eps_list)
         patch.setattr(spectrum, "_worker", _InlineWorker)
         inline = _probed(monkeypatch, p, eps_list)
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        one_cpu = _probed(monkeypatch, p, eps_list)
-    assert [off for _, _, off in (threaded, inline, one_cpu)] == [True, False, False]
-    reports, seen, _ = threaded
-    for other, other_seen, _ in (inline, one_cpu):
-        assert other_seen == seen
-        assert other[0].probes == reports[0].probes == tuple(k for k, _, _ in seen)
+    assert [off for _, _, off in (threaded, inline)] == [True, False]
+    (reports, seen, _), (other, other_seen, _) = threaded, inline
+    assert other_seen == seen
+    assert other[0].probes == reports[0].probes == tuple(k for k, _, _ in seen)
     assert [(r.width, r.k_first, r.k_last) for r in reports] == runs
 
 
-@pytest.mark.parametrize(
-    "concurrent, on_worker", [(True, True), (True, False), (False, False)],
-    ids=["worker", "calling-thread", "inline"],
-)  # fmt: skip
-def test_failed_stein_in_a_concurrent_round_exits_four(monkeypatch, capsys, concurrent, on_worker):
+@pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "calling-thread"])
+def test_failed_stein_in_a_concurrent_round_exits_four(monkeypatch, capsys, on_worker):
     # a stein failure in either of a round's two solves, on the worker thread
-    # or on the calling one (where, with one CPU, both run), is one error line
-    # and exit 4, and the next width count succeeds
+    # or on the calling one, is one error line and exit 4, and the next width
+    # count succeeds
     import threading
 
-    import prolate.spectrum as spectrum
     from prolate.cli import main
 
     argv = ["width", "--n", "4096", "--w", "0.2", "--eps", "1e-13"]
-    # the worker or none, whatever the CPUs here
-    monkeypatch.setattr(spectrum, "_concurrent", lambda: concurrent)
-    caller, stein = threading.get_ident(), spectrum.dstein
-
-    def failing(d, e, w, iblock, isplit):
-        if (threading.get_ident() != caller) == on_worker:
-            return np.zeros((d.size, len(w)), order="F"), 1
-        return stein(d, e, w, iblock, isplit)
-
+    caller = threading.get_ident()
     assert main(argv) == 0
     expected = capsys.readouterr().out
-    monkeypatch.setattr(spectrum, "dstein", failing)
-    assert main(argv) == 4
+    with monkeypatch.context() as patch:
+        _failing_lapack(patch, "dstein", lambda args: (threading.get_ident() != caller) == on_worker)
+        assert main(argv) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: LAPACK stein did not converge") and err.count("\n") == 1
-    monkeypatch.setattr(spectrum, "dstein", stein)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
 
